@@ -30,7 +30,7 @@
 
 use fsda_causal::ci::FisherZ;
 use fsda_causal::pc::{pc, PcConfig, PcResult};
-use fsda_core::adapter::{AdapterConfig, Budget, FsGanAdapter};
+use fsda_core::adapter::{AdapterConfig, Budget, FsGanAdapter, MC_DRAWS};
 use fsda_core::{DriftMitigator, GuardConfig, InferPrecision};
 use fsda_data::fewshot::few_shot_subset;
 use fsda_data::synth5gc::Synth5gc;
@@ -121,6 +121,7 @@ struct DispatchCell {
     dyn_elapsed_s: f64,
     overhead_pct: f64,
     identical: bool,
+    identical_to_mc_reference: bool,
 }
 
 struct TelemetryCell {
@@ -274,11 +275,35 @@ fn bench_guard_overhead(adapter: &FsGanAdapter, features: &Matrix) -> Vec<GuardC
     cells
 }
 
+/// The Monte-Carlo average the long way: reconstruct draw `d` of the whole
+/// batch, classify it, and fold the draws with `try_add` in ascending
+/// order before one `scale`. The served path stacks the draws and must
+/// reproduce this bit for bit.
+fn mc_reference(adapter: &FsGanAdapter, x: &Matrix) -> Matrix {
+    let exact = InferPrecision::F64Exact;
+    let draws = if adapter.degraded().is_none() {
+        MC_DRAWS
+    } else {
+        1
+    };
+    let probs = |d| {
+        let recon = adapter.reconstruct_draw_with(x, Some(1), exact, d);
+        adapter.classifier().predict_proba_with(&recon, exact)
+    };
+    let mut acc = probs(0);
+    for d in 1..draws {
+        acc = acc.try_add(&probs(d)).expect("same shape every draw");
+    }
+    acc.scale(1.0 / draws as f64)
+}
+
 /// Times `predict_batch` through the `Box<dyn DriftMitigator>` registry
 /// interface against the direct inherent call on the same adapter. Both
 /// paths run the identical reconstruction + classification work; the only
 /// difference is one virtual call per batch, so the overhead must vanish
-/// into timing noise (the registry contract budgets 2%).
+/// into timing noise (the registry contract budgets 2%). Each batch's
+/// averaged probabilities are also checked bitwise against
+/// [`mc_reference`].
 fn bench_dispatch_overhead(adapter: &FsGanAdapter, features: &Matrix) -> Vec<DispatchCell> {
     let virtual_adapter: &dyn DriftMitigator = adapter;
     println!("\nregistry (dyn DriftMitigator) vs direct predict_batch dispatch");
@@ -287,13 +312,24 @@ fn bench_dispatch_overhead(adapter: &FsGanAdapter, features: &Matrix) -> Vec<Dis
         "rows", "features", "direct (s)", "dyn (s)", "overhead"
     );
     let mut cells = Vec::new();
-    for &rows in &[64usize, 256, 1024] {
+    for &rows in &[1usize, 64, 256, 1024] {
         let x = serving_batch(features, rows);
+        let (proba, reference) = (adapter.predict_proba(&x), mc_reference(adapter, &x));
+        let identical_to_mc_reference = proba.shape() == reference.shape()
+            && proba
+                .as_slice()
+                .iter()
+                .zip(reference.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(
+            identical_to_mc_reference,
+            "stacked Monte-Carlo path diverged from the per-draw reference at {rows} rows"
+        );
         // A single vtable lookup per batch is far below scheduler noise on
         // any one call, so each timing sample amortizes an inner loop of
-        // calls (~8 ms of work per sample) and the reported figure is the
-        // best of 25 samples per path.
-        let inner = (512 / rows).max(1);
+        // calls (a few ms of work per sample) and the reported figure is
+        // the best of 25 samples per path.
+        let inner = (512 / rows).clamp(1, 64);
         let _ = adapter.predict_batch(&x, Some(1));
         let mut direct = f64::INFINITY;
         let mut dynamic = f64::INFINITY;
@@ -321,6 +357,7 @@ fn bench_dispatch_overhead(adapter: &FsGanAdapter, features: &Matrix) -> Vec<Dis
             dyn_elapsed_s: dynamic,
             overhead_pct: 100.0 * (dynamic - direct) / direct.max(1e-12),
             identical,
+            identical_to_mc_reference,
         };
         println!(
             "{:>7} {:>9} {:>12.6} {:>12.6} {:>9.2}%",
@@ -931,7 +968,9 @@ fn main() {
         "    \"description\": \"predict_batch through the Box<dyn \
          DriftMitigator> registry interface vs the direct inherent call on \
          the same trained FS+GAN pipeline, best of 25 amortized samples; \
-         one virtual call per batch, verified bit-identical\","
+         one virtual call per batch, verified bit-identical, and the \
+         averaged probabilities verified bit-identical to the per-draw \
+         Monte-Carlo reference\","
     );
     let _ = writeln!(json, "    \"target_overhead_pct\": 2.0,");
     json.push_str("    \"cells\": [\n");
@@ -940,8 +979,15 @@ fn main() {
             json,
             "      {{\"rows\": {}, \"features\": {}, \
              \"direct_elapsed_s\": {:.6}, \"dyn_elapsed_s\": {:.6}, \
-             \"overhead_pct\": {:.2}, \"identical\": {}}}",
-            c.rows, c.features, c.direct_elapsed_s, c.dyn_elapsed_s, c.overhead_pct, c.identical
+             \"overhead_pct\": {:.2}, \"identical\": {}, \
+             \"identical_to_mc_reference\": {}}}",
+            c.rows,
+            c.features,
+            c.direct_elapsed_s,
+            c.dyn_elapsed_s,
+            c.overhead_pct,
+            c.identical,
+            c.identical_to_mc_reference
         );
         json.push_str(if k + 1 < dispatch_cells.len() {
             ",\n"

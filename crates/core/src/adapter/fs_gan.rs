@@ -46,12 +46,41 @@ pub struct FsGanAdapter {
 /// that sampling variance straight into the served labels (several points
 /// of macro-F1 on the scenario grids). Eight draws sit where agreement
 /// with the many-draw label stabilises (the `mc_ablation` bench uses
-/// M = 9 as its reference); beyond that the curve is flat and the cost
-/// is linear in draws. Reconstruction entry points
+/// M = 9 as its reference); beyond that the curve is flat. Only the
+/// noise-dependent work grows with the draw count: each request is
+/// normalized and split once, and the generator's first-layer product
+/// over the invariant block is computed once for all draws; the noise
+/// share of that layer, the rest of the generator, and the classifier
+/// run per draw, stacked into shared batches. Reconstruction entry points
 /// ([`FsGanAdapter::reconstruct_batch`] and friends) still expose single
 /// draws — callers that want samples get samples, but a *label* is a
 /// posterior summary and is averaged.
 pub const MC_DRAWS: u64 = 8;
+
+/// Rows per Monte-Carlo batch: requests are split into row blocks of at
+/// most this many rows, and a block's draws are stacked into classifier
+/// batches up to this size (the generator plan groups its draws the same
+/// way). Larger stacks gain nothing per row and grow the working set.
+const MC_BATCH_ROWS: usize = 64;
+
+/// `rows` split into at most `threads` contiguous `(start, end)` chunks.
+fn row_chunks(rows: usize, threads: usize) -> Vec<(usize, usize)> {
+    let chunk = rows.div_ceil(threads).max(1);
+    (0..rows)
+        .step_by(chunk)
+        .map(|s| (s, (s + chunk).min(rows)))
+        .collect()
+}
+
+/// The first non-finite cell of `x`, a draw-major stack of `n`-row draws
+/// starting at draw `draw0` and request row `row0`, as `(draw, row, col)`
+/// in (draw, row) order.
+fn first_non_finite(x: &Matrix, n: usize, draw0: u64, row0: usize) -> Option<(u64, usize, usize)> {
+    (0..x.rows()).find_map(|i| {
+        let col = x.row(i).iter().position(|v| !v.is_finite())?;
+        Some((draw0 + (i / n) as u64, row0 + i % n, col))
+    })
+}
 
 impl std::fmt::Debug for FsGanAdapter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -255,6 +284,16 @@ impl FsGanAdapter {
         &self.fitted().separation
     }
 
+    /// The fitted network-management classifier (trained once, on all
+    /// source features).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the adapter has not been fitted.
+    pub fn classifier(&self) -> &dyn Classifier {
+        self.fitted().classifier.as_ref()
+    }
+
     /// Name of the fitted reconstructor, `None` in degraded pass-through
     /// mode.
     pub fn reconstructor_name(&self) -> Option<&str> {
@@ -358,13 +397,21 @@ impl FsGanAdapter {
     }
 
     /// The shared Monte-Carlo accumulator behind every prediction entry
-    /// point: reconstructs `draws` independent draws (per-row seeded, so
-    /// the result is chunking- and thread-count-invariant), averages the
-    /// classifier's probabilities, and — when `check_finite` is set —
-    /// fails with the guarded path's [`ServeError::NonFiniteOutput`] on
-    /// the first non-finite reconstructed cell of any draw. Degraded
-    /// (pass-through) adapters collapse to a single draw: without a
-    /// reconstructor every draw is identical.
+    /// point: averages the classifier's probabilities over `draws`
+    /// independent reconstruction draws (per-row seeded, so the result is
+    /// chunking- and thread-count-invariant) and — when `check_finite` is
+    /// set — fails with the guarded path's [`ServeError::NonFiniteOutput`]
+    /// on the first non-finite reconstructed cell in (draw, row) order.
+    /// Degraded (pass-through) adapters collapse to a single draw: without
+    /// a reconstructor every draw is identical.
+    ///
+    /// Each thread's rows are processed in blocks of at most
+    /// [`MC_BATCH_ROWS`]: a block is normalized and split once, all its
+    /// draws are reconstructed in one call (the generator's invariant share
+    /// computed once), and the draws are classified in stacked batches.
+    /// Every draw's probabilities are summed in ascending draw order and
+    /// scaled by `1 / draws`, so the result is bit-identical to
+    /// classifying each draw separately and folding the draws one by one.
     fn mc_proba_checked(
         &self,
         features: &Matrix,
@@ -374,31 +421,98 @@ impl FsGanAdapter {
         check_finite: bool,
     ) -> std::result::Result<Matrix, ServeError> {
         let fitted = self.fitted();
+        let rows = features.rows();
+        if rows == 0 {
+            let empty = fitted.separation.normalizer().transform(features);
+            return Ok(fitted.classifier.predict_proba_with(&empty, precision));
+        }
         let draws = if fitted.reconstructor.is_some() {
             draws.max(1)
         } else {
             1
         };
-        let draw_probs = |draw: u64| -> std::result::Result<Matrix, ServeError> {
-            let out = self.reconstruct_batch_draw(features, threads, precision, draw);
+        let threads = resolve_threads(threads);
+        let blocks = par_map(threads, &row_chunks(rows, threads), |_, &(start, end)| {
+            (start..end)
+                .step_by(MC_BATCH_ROWS)
+                .map(|b0| {
+                    let block = b0..(b0 + MC_BATCH_ROWS).min(end);
+                    self.mc_block(features, block, precision, draws, check_finite)
+                })
+                .collect::<Vec<_>>()
+        });
+        let mut probs = Vec::new();
+        let mut first_bad: Option<(u64, usize, usize)> = None;
+        for block in blocks.into_iter().flatten() {
+            match block {
+                Ok(mean) => probs.extend(mean),
+                Err(bad) => first_bad = Some(first_bad.map_or(bad, |b| b.min(bad))),
+            }
+        }
+        match first_bad {
+            Some((_, row, col)) => Err(ServeError::NonFiniteOutput { row, col }),
+            None => Ok(Matrix::from_vec(rows, probs.len() / rows, probs)),
+        }
+    }
+
+    /// One row block of [`FsGanAdapter::mc_proba_checked`]: the block's
+    /// mean probabilities, row-major, or (when `check_finite` is set) its
+    /// first non-finite reconstructed cell as `(draw, row, col)`. A batch
+    /// of draws is checked before it is classified, so the classifier
+    /// never sees a non-finite reconstruction.
+    fn mc_block(
+        &self,
+        features: &Matrix,
+        block: std::ops::Range<usize>,
+        precision: InferPrecision,
+        draws: u64,
+        check_finite: bool,
+    ) -> std::result::Result<Vec<f64>, (u64, usize, usize)> {
+        let fitted = self.fitted();
+        let separation = &fitted.separation;
+        let n = block.len();
+        let idx: Vec<usize> = block.clone().collect();
+        let (inv, var) = separation.split_normalized(&features.select_rows(&idx));
+        let var_hats = match &fitted.reconstructor {
+            Some(recon) => {
+                let seeds: Vec<u64> = (0..draws)
+                    .flat_map(|d| {
+                        let base = self.draw_base(d);
+                        block.clone().map(move |row| row_seed(base, row as u64))
+                    })
+                    .collect();
+                recon.reconstruct_draws_with(&inv, &seeds, precision)
+            }
+            None => var,
+        };
+        let per_batch = (MC_BATCH_ROWS / n).max(1) as u64;
+        let mut sum: Option<Vec<f64>> = None;
+        for first in (0..draws).step_by(per_batch as usize) {
+            let last = (first + per_batch).min(draws);
+            let stacked: Vec<usize> = (first as usize * n..last as usize * n).collect();
+            let x = separation.reassemble(&inv, &var_hats.select_rows(&stacked));
             if check_finite {
-                for r in 0..out.rows() {
-                    if let Some(c) = out.row(r).iter().position(|v| !v.is_finite()) {
-                        return Err(ServeError::NonFiniteOutput { row: r, col: c });
-                    }
+                if let Some(bad) = first_non_finite(&x, n, first, block.start) {
+                    return Err(bad);
                 }
             }
-            Ok(fitted.classifier.predict_proba_with(&out, precision))
-        };
-        let mut acc = draw_probs(0)?;
-        for draw in 1..draws {
-            // One classifier, one row count: every draw has the same
-            // (rows × classes) shape.
-            acc = acc
-                .try_add(&draw_probs(draw)?)
-                .unwrap_or_else(|e| panic!("predict_proba shape invariant: {e}"));
+            let probs = fitted.classifier.predict_proba_with(&x, precision);
+            for draw in probs.as_slice().chunks((n * probs.cols()).max(1)) {
+                match &mut sum {
+                    None => sum = Some(draw.to_vec()),
+                    Some(acc) => acc.iter_mut().zip(draw).for_each(|(a, &p)| *a += p),
+                }
+            }
         }
-        Ok(acc.scale(1.0 / draws as f64))
+        let scale = 1.0 / draws as f64;
+        let mut mean = sum.unwrap_or_default();
+        mean.iter_mut().for_each(|v| *v *= scale);
+        Ok(mean)
+    }
+
+    /// Base of draw `draw`'s per-row noise seeds.
+    fn draw_base(&self, draw: u64) -> u64 {
+        self.seed ^ 0x11FE ^ (draw << 32)
     }
 
     /// Number of classes.
@@ -450,15 +564,19 @@ impl FsGanAdapter {
         threads: Option<usize>,
         precision: InferPrecision,
     ) -> Matrix {
-        self.reconstruct_batch_draw(features, threads, precision, 0)
+        self.reconstruct_draw_with(features, threads, precision, 0)
     }
 
-    /// One Monte-Carlo reconstruction draw: like
-    /// [`FsGanAdapter::reconstruct_batch_with`] but with the noise stream
-    /// offset by `draw`, so draw 0 is bit-identical to the public batch
-    /// path and further draws give independent generator samples with the
-    /// same per-row (chunking-invariant) seeding discipline.
-    fn reconstruct_batch_draw(
+    /// Monte-Carlo draw `draw` of [`FsGanAdapter::reconstruct_batch_with`]:
+    /// the same per-row (chunking-invariant) seeding with the noise stream
+    /// offset by `draw`. Draw 0 is `reconstruct_batch_with`; prediction
+    /// averages draws `0..`[`MC_DRAWS`]. One draw at a time is the
+    /// reference the stacked prediction path is checked against.
+    ///
+    /// # Panics
+    ///
+    /// As [`FsGanAdapter::reconstruct_batch`].
+    pub fn reconstruct_draw_with(
         &self,
         features: &Matrix,
         threads: Option<usize>,
@@ -471,12 +589,8 @@ impl FsGanAdapter {
         }
         let threads = resolve_threads(threads);
         let rows = features.rows();
-        let chunk = rows.div_ceil(threads).max(1);
-        let chunks: Vec<(usize, usize)> = (0..rows)
-            .step_by(chunk)
-            .map(|s| (s, (s + chunk).min(rows)))
-            .collect();
-        let base = self.seed ^ 0x11FE ^ (draw << 32);
+        let chunks = row_chunks(rows, threads);
+        let base = self.draw_base(draw);
         let separation = &fitted.separation;
         let recon = fitted.reconstructor.as_deref();
         let parts = par_map(threads, &chunks, |_, &(start, end)| {

@@ -282,9 +282,14 @@ impl FeatureSeparation {
     /// Reassembles a full normalized feature matrix from invariant and
     /// variant blocks, restoring the original column order.
     ///
+    /// `var_block` may also stack several draws of the variant block
+    /// draw-major against one `inv_block` (Monte-Carlo reconstruction): its
+    /// row `d·n + r` is paired with invariant row `r`, `n = inv_block.rows()`.
+    ///
     /// # Panics
     ///
-    /// Panics if block shapes are inconsistent with the separation.
+    /// Panics if block shapes are inconsistent with the separation, or if
+    /// `var_block` is not a whole number of `inv_block`-sized draws.
     pub fn reassemble(&self, inv_block: &Matrix, var_block: &Matrix) -> Matrix {
         assert_eq!(
             inv_block.cols(),
@@ -292,11 +297,16 @@ impl FeatureSeparation {
             "invariant block width"
         );
         assert_eq!(var_block.cols(), self.variant.len(), "variant block width");
-        assert_eq!(inv_block.rows(), var_block.rows(), "row mismatch");
-        let mut out = Matrix::zeros(inv_block.rows(), self.num_features);
+        let n = inv_block.rows();
+        assert!(
+            var_block.rows().is_multiple_of(n),
+            "row mismatch: {} variant rows against {n} invariant rows",
+            var_block.rows()
+        );
+        let mut out = Matrix::zeros(var_block.rows(), self.num_features);
         for r in 0..out.rows() {
             for (k, &c) in self.invariant.iter().enumerate() {
-                out.set(r, c, inv_block.get(r, k));
+                out.set(r, c, inv_block.get(r % n, k));
             }
             for (k, &c) in self.variant.iter().enumerate() {
                 out.set(r, c, var_block.get(r, k));

@@ -69,12 +69,13 @@ use fsda_models::InferPrecision;
 /// without naming concrete types; [`restore`] brings an artifact back as
 /// one.
 ///
-/// Two prediction entry points exist because the FS+GAN family is
-/// stochastic at inference: [`DriftMitigator::predict`] is the experiment
-/// path (one noise draw per batch, Eq. 12's M = 1), while
-/// [`DriftMitigator::predict_batch`] is the serving path (one independent
-/// noise seed per row, bit-identical at every thread count). Deterministic
-/// mitigators serve both from the same code path.
+/// The FS+GAN family is stochastic at inference, yet every prediction
+/// entry point returns the same labels: [`DriftMitigator::predict`] and
+/// [`DriftMitigator::predict_batch`] both average class probabilities over
+/// `MC_DRAWS` generator draws with one independent noise seed per row and
+/// draw, bit-identical at every thread count; `predict` is `predict_batch`
+/// with the default thread count. Deterministic mitigators serve both from
+/// the same code path.
 ///
 /// The trait requires `Send + Sync`: a fitted mitigator is immutable at
 /// serving time (all prediction entry points take `&self` and no
@@ -126,8 +127,8 @@ pub trait DriftMitigator: std::fmt::Debug + Send + Sync {
         Ok(())
     }
 
-    /// Predicts labels for raw target features (the experiment path; for
-    /// the FS+GAN family this is one Monte-Carlo draw for the whole batch).
+    /// Predicts labels for raw target features. Identical to
+    /// [`DriftMitigator::predict_batch`] with the default thread count.
     ///
     /// # Panics
     ///

@@ -2,7 +2,7 @@
 //! Table II): a deterministic bottleneck regressor from invariant to
 //! variant features, trained with plain MSE.
 
-use crate::{validate_fit, GanError, ReconSnapshot, Reconstructor, Result};
+use crate::{draw_count, validate_fit, GanError, ReconSnapshot, Reconstructor, Result};
 use fsda_linalg::{Matrix, SeededRng};
 use fsda_nn::layer::{Activation, Dense, MixedActivation, OutputSpec};
 use fsda_nn::loss::mse;
@@ -211,6 +211,15 @@ impl Reconstructor for VanillaAe {
             row_seeds.len(),
             "reconstruct_rows: one seed per row"
         );
+        self.reconstruct_draws_with(x_inv, row_seeds, precision)
+    }
+
+    fn reconstruct_draws_with(
+        &self,
+        x_inv: &Matrix,
+        draw_seeds: &[u64],
+        precision: InferPrecision,
+    ) -> Matrix {
         let net = self
             .net
             .as_ref()
@@ -221,7 +230,11 @@ impl Reconstructor for VanillaAe {
             d_inv,
             "VanillaAe: invariant-block width mismatch"
         );
-        self.run_net(net, x_inv, precision)
+        // Seeds do not enter the model: every draw is the same pass, so run
+        // it once and repeat it.
+        let draws = draw_count(x_inv.rows(), draw_seeds.len());
+        let once = self.run_net(net, x_inv, precision);
+        Matrix::from_vec(draw_seeds.len(), once.cols(), once.as_slice().repeat(draws))
     }
 
     fn snapshot(&self) -> Result<ReconSnapshot> {
@@ -337,6 +350,21 @@ mod tests {
             ae.reconstruct_rows(&x_inv, &seeds),
             ae.reconstruct(&x_inv, 0)
         );
+    }
+
+    #[test]
+    fn draws_tile_the_single_pass() {
+        let (x_inv, x_var, y) = toy(16, 10);
+        let mut ae = VanillaAe::new(
+            AeConfig {
+                hidden: 16,
+                epochs: 5,
+                ..AeConfig::default()
+            },
+            11,
+        );
+        ae.fit(&x_inv, &x_var, &y).unwrap();
+        crate::assert_draws_match_rows(&ae, &x_inv);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! conditioning can be disabled to obtain the `FS+NoCond` ablation of
 //! Table II.
 
-use crate::{validate_fit, GanError, ReconSnapshot, Reconstructor, Result};
+use crate::{
+    forward_conditioned, seeded_noise, validate_fit, GanError, ReconSnapshot, Reconstructor, Result,
+};
 use fsda_linalg::{Matrix, SeededRng};
 use fsda_nn::layer::{Activation, Dense, MixedActivation, OutputSpec};
 use fsda_nn::loss::bce_with_logits;
@@ -21,8 +23,10 @@ use fsda_nn::{InferPlan, InferPrecision, Sequential, TrainOutcome, WatchdogConfi
 /// Hyper-parameters of [`CondGan`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CondGanConfig {
-    /// Noise-vector dimension (paper: 30 for 5GC, 15 for 5GIPC — small
-    /// relative to the data so that M = 1 inference is near-deterministic).
+    /// Noise-vector dimension (paper: 30 for 5GC, 15 for 5GIPC). The paper
+    /// argues a small noise vector makes one draw (M = 1) enough; at the
+    /// default 30 single draws still disagree on labels, so serving
+    /// averages `MC_DRAWS` draws (see `fsda_core::adapter::fs_gan`).
     pub noise_dim: usize,
     /// Hidden width of generator and discriminator (paper: 256 / 128).
     pub hidden: usize,
@@ -160,13 +164,19 @@ impl CondGan {
         Ok(gan)
     }
 
-    /// Runs the generator forward pass: through the compiled plan when one
-    /// exists (bit-identical at `F64Exact`), else layer by layer.
-    fn run_generator(&self, gen: &Sequential, g_in: &Matrix, precision: InferPrecision) -> Matrix {
-        match &self.plan {
-            Some(plan) => plan.infer(g_in, precision),
-            None => gen.infer(g_in),
-        }
+    /// The fitted generator, checked against the invariant-block width.
+    fn fitted_generator(&self, x_inv: &Matrix) -> &Sequential {
+        let gen = self
+            .generator
+            .as_ref()
+            .expect("CondGan: reconstruct before fit");
+        let (d_inv, _) = self.dims.expect("dims recorded at fit");
+        assert_eq!(
+            x_inv.cols(),
+            d_inv,
+            "CondGan: invariant-block width mismatch"
+        );
+        gen
     }
 
     fn build_generator(&self, d_inv: usize, d_var: usize, rng: &mut SeededRng) -> Sequential {
@@ -303,20 +313,10 @@ impl Reconstructor for CondGan {
     }
 
     fn reconstruct(&self, x_inv: &Matrix, seed: u64) -> Matrix {
-        let gen = self
-            .generator
-            .as_ref()
-            .expect("CondGan: reconstruct before fit");
-        let (d_inv, _) = self.dims.expect("dims recorded at fit");
-        assert_eq!(
-            x_inv.cols(),
-            d_inv,
-            "CondGan: invariant-block width mismatch"
-        );
+        let gen = self.fitted_generator(x_inv);
         let mut rng = SeededRng::new(seed);
         let z = rng.normal_matrix(x_inv.rows(), self.config.noise_dim, 0.0, 1.0);
-        let g_in = x_inv.hstack(&z).expect("row counts match");
-        self.run_generator(gen, &g_in, InferPrecision::F64Exact)
+        forward_conditioned(self.plan.as_ref(), gen, x_inv, &z, InferPrecision::F64Exact)
     }
 
     fn name(&self) -> &'static str {
@@ -341,32 +341,23 @@ impl Reconstructor for CondGan {
         row_seeds: &[u64],
         precision: InferPrecision,
     ) -> Matrix {
-        let gen = self
-            .generator
-            .as_ref()
-            .expect("CondGan: reconstruct before fit");
-        let (d_inv, _) = self.dims.expect("dims recorded at fit");
-        assert_eq!(
-            x_inv.cols(),
-            d_inv,
-            "CondGan: invariant-block width mismatch"
-        );
         assert_eq!(
             x_inv.rows(),
             row_seeds.len(),
             "reconstruct_rows: one seed per row"
         );
-        // Row r gets the first `noise_dim` draws of a fresh rng seeded with
-        // row_seeds[r] — exactly what the per-row `reconstruct` would draw —
-        // so one amortized forward pass is bit-identical to the scalar loop.
-        let nd = self.config.noise_dim;
-        let mut z = Matrix::zeros(x_inv.rows(), nd);
-        for (r, &seed) in row_seeds.iter().enumerate() {
-            let noise = SeededRng::new(seed).normal_vec(nd);
-            z.row_mut(r).copy_from_slice(&noise);
-        }
-        let g_in = x_inv.hstack(&z).expect("row counts match");
-        self.run_generator(gen, &g_in, precision)
+        self.reconstruct_draws_with(x_inv, row_seeds, precision)
+    }
+
+    fn reconstruct_draws_with(
+        &self,
+        x_inv: &Matrix,
+        draw_seeds: &[u64],
+        precision: InferPrecision,
+    ) -> Matrix {
+        let gen = self.fitted_generator(x_inv);
+        let z = seeded_noise(draw_seeds, self.config.noise_dim);
+        forward_conditioned(self.plan.as_ref(), gen, x_inv, &z, precision)
     }
 
     fn snapshot(&self) -> Result<ReconSnapshot> {
@@ -572,6 +563,15 @@ mod tests {
             let single = gan.reconstruct(&x_inv.select_rows(&[r]), seed);
             assert_eq!(batched.row(r), single.row(0), "row {r}");
         }
+    }
+
+    #[test]
+    fn draws_match_one_rows_call_per_draw() {
+        let (x_inv, x_var, y) = toy_source(24, 25);
+        let mut gan = CondGan::new(quick_config(), 26);
+        gan.fit(&x_inv, &x_var, &y).unwrap();
+        crate::assert_draws_match_rows(&gan, &x_inv);
+        crate::assert_draws_match_rows(&gan, &x_inv.select_rows(&[5]));
     }
 
     #[test]

@@ -35,8 +35,9 @@ pub use cond_gan::{CondGan, CondGanConfig};
 pub use fsda_nn::{InferPrecision, TrainOutcome, WatchdogConfig};
 
 use autoencoder::AeConfig;
-use fsda_linalg::Matrix;
+use fsda_linalg::{Matrix, SeededRng};
 use fsda_nn::state::StateDict;
+use fsda_nn::{InferPlan, Sequential};
 use vae::VaeConfig;
 
 /// Errors raised by reconstruction models.
@@ -142,6 +143,26 @@ pub trait Reconstructor: Send + Sync {
         let _ = precision;
         self.reconstruct_rows(x_inv, row_seeds)
     }
+
+    /// Reconstructs several Monte-Carlo draws of one batch in one call,
+    /// stacked draw-major: `draw_seeds` holds `draws · x_inv.rows()` seeds,
+    /// and rows `d·n..(d+1)·n` of the result are, bit for bit,
+    /// `reconstruct_rows_with(x_inv, &draw_seeds[d·n..(d+1)·n], precision)`
+    /// (with `n = x_inv.rows()`). Models whose network input is
+    /// `[x_inv | z]` compute the `x_inv` share of the first layer once for
+    /// all draws; only the noise share is paid per draw.
+    ///
+    /// # Panics
+    ///
+    /// Panics when called before a successful fit, or when
+    /// `draw_seeds.len()` is not a whole number of `x_inv.rows()`-row
+    /// draws.
+    fn reconstruct_draws_with(
+        &self,
+        x_inv: &Matrix,
+        draw_seeds: &[u64],
+        precision: InferPrecision,
+    ) -> Matrix;
 
     /// How the last [`Reconstructor::fit`] ended, when the model tracks it
     /// with a divergence watchdog: `Converged`, `Recovered`, or `Diverged`.
@@ -260,6 +281,61 @@ pub fn restore_reconstructor(snapshot: &ReconSnapshot) -> Result<Box<dyn Reconst
     }
 }
 
+/// Number of `rows`-row draws that `seeds` per-row seeds cover.
+///
+/// # Panics
+///
+/// Panics when `seeds` is not a whole number of draws.
+pub(crate) fn draw_count(rows: usize, seeds: usize) -> usize {
+    let draws = seeds.checked_div(rows).unwrap_or(0);
+    assert_eq!(
+        draws * rows,
+        seeds,
+        "reconstruct_draws: {seeds} seeds are not a whole number of {rows}-row draws"
+    );
+    draws
+}
+
+/// Noise rows for per-row seeds: row `i` holds the first `dim` standard
+/// normal draws of a fresh generator seeded with `seeds[i]`, exactly what
+/// a one-row `reconstruct(x, seeds[i])` draws.
+pub(crate) fn seeded_noise(seeds: &[u64], dim: usize) -> Matrix {
+    let mut z = Matrix::zeros(seeds.len(), dim);
+    for (r, &seed) in seeds.iter().enumerate() {
+        z.row_mut(r)
+            .copy_from_slice(&SeededRng::new(seed).normal_vec(dim));
+    }
+    z
+}
+
+/// Forward pass of a network whose input is `[x_inv | z]`, where `z`
+/// stacks `draws` noise blocks of `x_inv.rows()` rows draw-major. With a
+/// compiled plan the `x_inv` share of the first layer is computed once for
+/// every draw ([`InferPlan::infer_shared_prefix`]); without one, each
+/// draw's input is assembled and run layer by layer (precision ignored).
+/// Both give the bits of running `[x_inv | z_d]` draw by draw.
+///
+/// # Panics
+///
+/// Panics when `z.rows()` is not a whole number of draws.
+pub(crate) fn forward_conditioned(
+    plan: Option<&InferPlan>,
+    net: &Sequential,
+    x_inv: &Matrix,
+    z: &Matrix,
+    precision: InferPrecision,
+) -> Matrix {
+    let rows = x_inv.rows();
+    draw_count(rows, z.rows());
+    match plan {
+        Some(plan) => plan.infer_shared_prefix(x_inv, z, precision),
+        None => {
+            let tiled = Matrix::from_fn(z.rows(), x_inv.cols(), |i, j| x_inv.get(i % rows, j));
+            net.infer(&tiled.hstack(z).expect("one noise row per input row"))
+        }
+    }
+}
+
 /// Validates the common `fit` preconditions.
 pub(crate) fn validate_fit(x_inv: &Matrix, x_var: &Matrix, y_onehot: &Matrix) -> Result<()> {
     if x_inv.rows() == 0 {
@@ -279,6 +355,26 @@ pub(crate) fn validate_fit(x_inv: &Matrix, x_var: &Matrix, y_onehot: &Matrix) ->
         )));
     }
     Ok(())
+}
+
+/// Test helper: `reconstruct_draws_with` equals one
+/// `reconstruct_rows_with` per draw, stacked, at both precisions.
+#[cfg(test)]
+pub(crate) fn assert_draws_match_rows(model: &dyn Reconstructor, x_inv: &Matrix) {
+    let n = x_inv.rows();
+    for draws in [1u64, 3] {
+        let seeds: Vec<u64> = (0..draws * n as u64).map(|i| 0x5EED ^ (i * 31)).collect();
+        for precision in [InferPrecision::F64Exact, InferPrecision::F32Fast] {
+            let stacked = model.reconstruct_draws_with(x_inv, &seeds, precision);
+            assert_eq!(stacked.rows(), seeds.len());
+            for (d, draw_seeds) in seeds.chunks(n).enumerate() {
+                let one = model.reconstruct_rows_with(x_inv, draw_seeds, precision);
+                for r in 0..n {
+                    assert_eq!(stacked.row(d * n + r), one.row(r), "draw {d} row {r}");
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -303,5 +399,13 @@ mod tests {
         .is_err());
         assert!(validate_fit(&a, &Matrix::zeros(3, 0), &a).is_err());
         assert!(validate_fit(&a, &a, &a).is_ok());
+    }
+
+    #[test]
+    fn draw_count_rejects_ragged_seed_lists() {
+        assert_eq!(draw_count(4, 12), 3);
+        assert_eq!(draw_count(0, 0), 0);
+        assert!(std::panic::catch_unwind(|| draw_count(4, 6)).is_err());
+        assert!(std::panic::catch_unwind(|| draw_count(0, 2)).is_err());
     }
 }

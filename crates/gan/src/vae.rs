@@ -6,7 +6,9 @@
 //! usual ELBO (MSE reconstruction + KL). At inference `z ~ N(0, I)` is
 //! drawn, so the model plays the same role as the GAN generator.
 
-use crate::{validate_fit, GanError, ReconSnapshot, Reconstructor, Result};
+use crate::{
+    forward_conditioned, seeded_noise, validate_fit, GanError, ReconSnapshot, Reconstructor, Result,
+};
 use fsda_linalg::{Matrix, SeededRng};
 use fsda_nn::layer::{Activation, Dense, MixedActivation, OutputSpec};
 use fsda_nn::optim::{clip_grad_norm, Adam, Optimizer};
@@ -83,18 +85,12 @@ impl Vae {
         }
     }
 
-    /// Runs the decoder: through the compiled plan when one exists
-    /// (bit-identical at `F64Exact`), else layer by layer.
-    fn run_decoder(
-        &self,
-        decoder: &Sequential,
-        dec_in: &Matrix,
-        precision: InferPrecision,
-    ) -> Matrix {
-        match &self.plan {
-            Some(plan) => plan.infer(dec_in, precision),
-            None => decoder.infer(dec_in),
-        }
+    /// The fitted decoder, checked against the invariant-block width.
+    fn fitted_decoder(&self, x_inv: &Matrix) -> &Sequential {
+        let decoder = self.decoder.as_ref().expect("Vae: reconstruct before fit");
+        let (d_inv, _) = self.dims.expect("dims recorded at fit");
+        assert_eq!(x_inv.cols(), d_inv, "Vae: invariant-block width mismatch");
+        decoder
     }
 
     fn build_decoder(&self, d_inv: usize, d_var: usize, rng: &mut SeededRng) -> Sequential {
@@ -240,13 +236,16 @@ impl Reconstructor for Vae {
     }
 
     fn reconstruct(&self, x_inv: &Matrix, seed: u64) -> Matrix {
-        let decoder = self.decoder.as_ref().expect("Vae: reconstruct before fit");
-        let (d_inv, _) = self.dims.expect("dims recorded at fit");
-        assert_eq!(x_inv.cols(), d_inv, "Vae: invariant-block width mismatch");
+        let decoder = self.fitted_decoder(x_inv);
         let mut rng = SeededRng::new(seed);
         let z = rng.normal_matrix(x_inv.rows(), self.config.latent_dim, 0.0, 1.0);
-        let dec_in = x_inv.hstack(&z).expect("rows match");
-        self.run_decoder(decoder, &dec_in, InferPrecision::F64Exact)
+        forward_conditioned(
+            self.plan.as_ref(),
+            decoder,
+            x_inv,
+            &z,
+            InferPrecision::F64Exact,
+        )
     }
 
     fn name(&self) -> &'static str {
@@ -267,22 +266,23 @@ impl Reconstructor for Vae {
         row_seeds: &[u64],
         precision: InferPrecision,
     ) -> Matrix {
-        let decoder = self.decoder.as_ref().expect("Vae: reconstruct before fit");
-        let (d_inv, _) = self.dims.expect("dims recorded at fit");
-        assert_eq!(x_inv.cols(), d_inv, "Vae: invariant-block width mismatch");
         assert_eq!(
             x_inv.rows(),
             row_seeds.len(),
             "reconstruct_rows: one seed per row"
         );
-        let zd = self.config.latent_dim;
-        let mut z = Matrix::zeros(x_inv.rows(), zd);
-        for (r, &seed) in row_seeds.iter().enumerate() {
-            let noise = SeededRng::new(seed).normal_vec(zd);
-            z.row_mut(r).copy_from_slice(&noise);
-        }
-        let dec_in = x_inv.hstack(&z).expect("rows match");
-        self.run_decoder(decoder, &dec_in, precision)
+        self.reconstruct_draws_with(x_inv, row_seeds, precision)
+    }
+
+    fn reconstruct_draws_with(
+        &self,
+        x_inv: &Matrix,
+        draw_seeds: &[u64],
+        precision: InferPrecision,
+    ) -> Matrix {
+        let decoder = self.fitted_decoder(x_inv);
+        let z = seeded_noise(draw_seeds, self.config.latent_dim);
+        forward_conditioned(self.plan.as_ref(), decoder, x_inv, &z, precision)
     }
 
     fn snapshot(&self) -> Result<ReconSnapshot> {
@@ -472,5 +472,6 @@ mod tests {
             let single = vae.reconstruct(&x_inv.select_rows(&[r]), seed);
             assert_eq!(batched.row(r), single.row(0), "row {r}");
         }
+        crate::assert_draws_match_rows(&vae, &x_inv);
     }
 }

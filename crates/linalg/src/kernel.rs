@@ -1,4 +1,4 @@
-//! Blocked, runtime-dispatched GEMM/GEMV kernels for `f32` and `f64`.
+//! Blocked, runtime-dispatched GEMM kernels for `f32` and `f64`.
 //!
 //! This module is the bottom layer of the workspace's inference plane: the
 //! dense forward passes in `fsda_nn` compile down to the kernels here, and
@@ -45,10 +45,10 @@
 //! let w = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
 //! // A · Wᵀ without materializing the transpose:
 //! assert_eq!(matmul_nt(&a, &w), a);
-//! // The generic entry point, usable at f32 or f64:
-//! let mut y = vec![0.0f32; 2];
-//! f32::gemv_nt(&[1.0, 0.0, 0.0, 1.0], &[5.0, 7.0], &mut y);
-//! assert_eq!(y, [5.0, 7.0]);
+//! // The generic entry point, usable at f32 or f64: C += A · B.
+//! let mut c = vec![1.0f32; 2];
+//! f32::gemm_nn(1, 2, 2, &[5.0, 7.0], &[1.0, 0.0, 0.0, 1.0], &mut c);
+//! assert_eq!(c, [6.0, 8.0]);
 //! ```
 
 use crate::Matrix;
@@ -213,8 +213,8 @@ mod sealed {
 /// A scalar element the kernel plane is generic over (`f64` or `f32`).
 ///
 /// The trait carries exactly the operations the inference plane needs —
-/// GEMM over a pre-transposed weight panel, a GEMV on untransposed weights,
-/// the fused bias+activation epilogue, and the batch-norm affine — so the
+/// GEMM over a pre-transposed weight panel, the fused bias+activation
+/// epilogue, and the batch-norm affine — so the
 /// stage logic in `fsda_nn`'s `InferPlan` is written once and instantiated
 /// at both precisions. `Matrix` itself (and the decompositions and
 /// statistics built on it) stays `f64`-only: the exact path is the
@@ -224,15 +224,6 @@ pub trait Element:
 {
     /// Additive identity.
     const ZERO: Self;
-
-    /// Whether [`Element::gemv_nt`] is bit-identical to a one-row
-    /// [`Element::gemm_nn`] call at this precision. `f64` preserves the
-    /// naive ascending-`k`, zero-skip, two-rounding chain in both kernels,
-    /// so the GEMV may replace a degenerate one-row GEMM; the `f32` batched
-    /// kernel uses FMA while its GEMV is scalar, so swapping would break
-    /// batch-vs-single bit-identity. Single-row fast paths must consult
-    /// this const before switching kernels.
-    const GEMV_MATCHES_GEMM: bool;
 
     /// Converts from the workspace's canonical `f64`.
     fn from_f64(x: f64) -> Self;
@@ -252,19 +243,18 @@ pub trait Element:
 
     /// `C += A · B` with `A` `(m, k)`, `B` `(k, n)`, and `C` `(m, n)`, all
     /// row-major. `C` is accumulated into (callers pass a zeroed buffer for
-    /// a plain product). At `f64` this is bit-identical to
-    /// [`crate::Matrix::matmul_naive`] for every input.
+    /// a plain product): each output element adds its `k` terms in
+    /// ascending order onto the value `C` already holds, so splitting `k`
+    /// into consecutive calls over consecutive row blocks of `B` gives the
+    /// same bits as one call. At `f64` this is bit-identical to
+    /// [`crate::Matrix::matmul_naive`] for every input, and no row's result
+    /// depends on `m`.
     ///
     /// # Panics
     ///
     /// Panics (in debug builds) when a slice length disagrees with the
     /// stated shape.
     fn gemm_nn(m: usize, k: usize, n: usize, a: &[Self], b: &[Self], c: &mut [Self]);
-
-    /// `y += W · x` with `W` `(n, k)` row-major (an `fsda_nn` weight matrix)
-    /// and `x` of length `k`: the B-transposed GEMV. Zero `x` terms are
-    /// skipped exactly like the GEMM reference skips them.
-    fn gemv_nt(w: &[Self], x: &[Self], y: &mut [Self]);
 
     /// Fused epilogue: `c[r][j] = act(c[r][j] + bias[j])` over an
     /// `(m, n)` row-major `c` with `n = bias.len()`. At `f64` the
@@ -275,7 +265,6 @@ pub trait Element:
 
 impl Element for f64 {
     const ZERO: f64 = 0.0;
-    const GEMV_MATCHES_GEMM: bool = true;
 
     #[inline]
     fn from_f64(x: f64) -> f64 {
@@ -317,25 +306,6 @@ impl Element for f64 {
         gemm_nn_f64_scalar(m, k, n, a, b, c);
     }
 
-    fn gemv_nt(w: &[f64], x: &[f64], y: &mut [f64]) {
-        let k = x.len();
-        debug_assert_eq!(w.len(), y.len() * k, "gemv_nt: W length");
-        note_dispatch();
-        if k == 0 {
-            return;
-        }
-        for (yj, wrow) in y.iter_mut().zip(w.chunks_exact(k)) {
-            let mut acc = *yj;
-            for (&xv, &wv) in x.iter().zip(wrow) {
-                if xv == 0.0 {
-                    continue;
-                }
-                acc += xv * wv;
-            }
-            *yj = acc;
-        }
-    }
-
     fn bias_act(c: &mut [f64], bias: &[f64], act: Act) {
         let n = bias.len();
         if n == 0 {
@@ -352,7 +322,6 @@ impl Element for f64 {
 
 impl Element for f32 {
     const ZERO: f32 = 0.0;
-    const GEMV_MATCHES_GEMM: bool = false;
 
     #[inline]
     fn from_f64(x: f64) -> f32 {
@@ -392,25 +361,6 @@ impl Element for f32 {
             return;
         }
         gemm_nn_f32_scalar(m, k, n, a, b, c);
-    }
-
-    fn gemv_nt(w: &[f32], x: &[f32], y: &mut [f32]) {
-        let k = x.len();
-        debug_assert_eq!(w.len(), y.len() * k, "gemv_nt: W length");
-        note_dispatch();
-        if k == 0 {
-            return;
-        }
-        for (yj, wrow) in y.iter_mut().zip(w.chunks_exact(k)) {
-            let mut acc = *yj;
-            for (&xv, &wv) in x.iter().zip(wrow) {
-                if xv == 0.0 {
-                    continue;
-                }
-                acc += xv * wv;
-            }
-            *yj = acc;
-        }
     }
 
     fn bias_act(c: &mut [f32], bias: &[f32], act: Act) {
@@ -757,7 +707,14 @@ pub fn matmul_nt(a: &Matrix, w: &Matrix) -> Matrix {
         });
     } else {
         for (arow, orow) in a.iter_rows().zip(out.as_mut_slice().chunks_exact_mut(n)) {
-            <f64 as Element>::gemv_nt(w.as_slice(), arow, orow);
+            for (o, wrow) in orow.iter_mut().zip(w.as_slice().chunks_exact(k)) {
+                // Ascending-`k` dot product with the reference's zero-skip.
+                for (&av, &wv) in arow.iter().zip(wrow) {
+                    if av != 0.0 {
+                        *o += av * wv;
+                    }
+                }
+            }
         }
     }
     out
@@ -887,38 +844,6 @@ mod tests {
         }
         for (x, y) in c.iter().zip(&unfused) {
             assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn f64_gemv_bit_identical_to_one_row_gemm() {
-        // The single-row fast path relies on this equivalence
-        // (`Element::GEMV_MATCHES_GEMM`): y = W·x over the native (n, k)
-        // weights must reproduce the one-row GEMM over the pre-transposed
-        // (k, n) panel bit-for-bit, zero-skips included.
-        let k = 13;
-        let n = 9;
-        let w = Matrix::from_fn(n, k, |i, j| ((i * 5 + j * 3) as f64 * 0.17).sin());
-        let x: Vec<f64> = (0..k)
-            .map(|i| {
-                if i % 4 == 0 {
-                    0.0
-                } else {
-                    (i as f64 * 0.29).cos()
-                }
-            })
-            .collect();
-        let mut via_gemv = vec![0.0f64; n];
-        <f64 as Element>::gemv_nt(w.as_slice(), &x, &mut via_gemv);
-        let wt = w.transpose();
-        let mut via_gemm = vec![0.0f64; n];
-        <f64 as Element>::gemm_nn(1, k, n, &x, wt.as_slice(), &mut via_gemm);
-        for (a, b) in via_gemv.iter().zip(&via_gemm) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
-        }
-        const {
-            assert!(<f64 as Element>::GEMV_MATCHES_GEMM);
-            assert!(!<f32 as Element>::GEMV_MATCHES_GEMM);
         }
     }
 

@@ -9,7 +9,7 @@
 //! # Modules
 //!
 //! * [`matrix`] — the row-major [`Matrix`] type and elementwise / BLAS-like ops.
-//! * [`kernel`] — blocked, runtime-dispatched GEMM/GEMV kernels (`f32` and
+//! * [`kernel`] — blocked, runtime-dispatched GEMM kernels (`f32` and
 //!   `f64`, AVX2 or scalar) behind the precision-generic [`kernel::Element`]
 //!   trait; the `f64` path is bit-identical to the naive reference.
 //! * [`decomp`] — Cholesky, LU inverse/solve, and symmetric (Jacobi) eigen.

@@ -197,22 +197,4 @@ proptest! {
             );
         }
     }
-
-    /// GEMV against the matmul reference on a single row.
-    #[test]
-    fn gemv_nt_bit_identical(
-        seed in 0u64..1000,
-        k in 1usize..24,
-        n in 1usize..24,
-        zero_pct in 0.0f64..0.9,
-    ) {
-        let x = sparse_matrix(seed, 1, k, zero_pct);
-        let w = sparse_matrix(seed ^ 0x61, n, k, 0.1);
-        let mut y = vec![0.0; n];
-        <f64 as Element>::gemv_nt(w.as_slice(), x.row(0), &mut y);
-        let reference = x.matmul_naive(&w.transpose());
-        for (a, b) in y.iter().zip(reference.row(0)) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
 }

@@ -121,12 +121,9 @@ pub enum PlanOp {
 #[derive(Debug, Clone)]
 enum Stage<T> {
     /// `y = act(x · wt + bias)` with `wt` pre-transposed to `(in, out)`.
-    /// `w` keeps the layer's native `(out, in)` layout for the single-row
-    /// GEMV fast path (consulted only when `T::GEMV_MATCHES_GEMM`).
     Affine {
         in_dim: usize,
         out_dim: usize,
-        w: Vec<T>,
         wt: Vec<T>,
         bias: Vec<T>,
         act: Act,
@@ -151,14 +148,12 @@ impl Stage<f64> {
             Stage::Affine {
                 in_dim,
                 out_dim,
-                w,
                 wt,
                 bias,
                 act,
             } => Stage::Affine {
                 in_dim: *in_dim,
                 out_dim: *out_dim,
-                w: narrow(w),
                 wt: narrow(wt),
                 bias: narrow(bias),
                 act: *act,
@@ -245,8 +240,7 @@ impl InferPlan {
                     stages64.push(Stage::Affine {
                         in_dim: in_d,
                         out_dim: out_d,
-                        wt: weight.transpose().as_slice().to_vec(),
-                        w: weight.as_slice().to_vec(),
+                        wt: weight.transpose().into_vec(),
                         bias,
                         act: Act::Identity,
                     });
@@ -326,6 +320,39 @@ impl InferPlan {
         match precision {
             InferPrecision::F64Exact => run(&self.stages64, input),
             InferPrecision::F32Fast => run(&self.stages32, input),
+        }
+    }
+
+    /// Forward pass over `[shared | tail]` rows when the leading `p`
+    /// columns are common to several draws: `shared` is `(rows, p)` and
+    /// `tail` stacks `draws` per-draw `(rows, q)` blocks draw-major, so
+    /// tail row `d·rows + r` pairs with shared row `r`. The first stage's
+    /// product over `shared` is computed once; each draw group copies it
+    /// and accumulates only the tail's columns on top.
+    ///
+    /// Bit-identical, at both precisions, to [`InferPlan::infer`] on the
+    /// explicitly tiled `(draws·rows, p + q)` input: the kernels add a
+    /// row's terms in ascending column order onto what the output already
+    /// holds, and no row's result depends on the batch it is computed in.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the first stage is not affine, when `p + q` differs
+    /// from the plan's input width, or when `tail.rows()` is not a
+    /// multiple of `shared.rows()`.
+    pub fn infer_shared_prefix(
+        &self,
+        shared: &Matrix,
+        tail: &Matrix,
+        precision: InferPrecision,
+    ) -> Matrix {
+        match precision {
+            InferPrecision::F64Exact => {
+                run_shared_prefix(&self.stages64, self.out_dim, shared, tail)
+            }
+            InferPrecision::F32Fast => {
+                run_shared_prefix(&self.stages32, self.out_dim, shared, tail)
+            }
         }
     }
 
@@ -414,19 +441,37 @@ fn flatten(op: PlanOp, out: &mut Vec<PlanOp>) -> Result<(), PlanError> {
     Ok(())
 }
 
-/// Executes the stage list at precision `T` with two ping-ponged batch
-/// buffers (one allocation pair per call, regardless of depth).
+/// Rows per GEMM batch in [`InferPlan::infer_shared_prefix`]: draws are
+/// stacked until a group would exceed this many rows. Larger stacks gain
+/// nothing per row and grow the working set.
+const DRAW_GROUP_ROWS: usize = 64;
+
+fn to_elems<T: Element>(values: &[f64]) -> Vec<T> {
+    values.iter().map(|&v| T::from_f64(v)).collect()
+}
+
+/// Executes the stage list at precision `T`.
 fn run<T: Element>(stages: &[Stage<T>], input: &Matrix) -> Matrix {
     let rows = input.rows();
-    let mut dim = input.cols();
-    let mut cur: Vec<T> = input.as_slice().iter().map(|&v| T::from_f64(v)).collect();
+    let (out, dim) = run_stages(stages, rows, input.cols(), to_elems(input.as_slice()));
+    Matrix::from_vec(rows, dim, out.into_iter().map(Element::to_f64).collect())
+}
+
+/// Runs `stages` over a `(rows, dim)` batch already at precision `T`, with
+/// two ping-ponged batch buffers (one allocation pair per call, regardless
+/// of depth). Returns the output and its width.
+fn run_stages<T: Element>(
+    stages: &[Stage<T>],
+    rows: usize,
+    mut dim: usize,
+    mut cur: Vec<T>,
+) -> (Vec<T>, usize) {
     let mut next: Vec<T> = Vec::new();
     for stage in stages {
         match stage {
             Stage::Affine {
                 in_dim,
                 out_dim,
-                w,
                 wt,
                 bias,
                 act,
@@ -434,15 +479,7 @@ fn run<T: Element>(stages: &[Stage<T>], input: &Matrix) -> Matrix {
                 debug_assert_eq!(dim, *in_dim, "InferPlan: stage input dim mismatch");
                 next.clear();
                 next.resize(rows * out_dim, T::ZERO);
-                if rows == 1 && T::GEMV_MATCHES_GEMM {
-                    // Degenerate one-row batches (the serve request loop)
-                    // take the GEMV kernel over the native-layout weights;
-                    // the trait const guarantees bit-identity with the
-                    // batched GEMM path at this precision.
-                    T::gemv_nt(w, &cur, &mut next);
-                } else {
-                    T::gemm_nn(rows, *in_dim, *out_dim, &cur, wt, &mut next);
-                }
+                T::gemm_nn(rows, *in_dim, *out_dim, &cur, wt, &mut next);
                 T::bias_act(&mut next, bias, *act);
                 std::mem::swap(&mut cur, &mut next);
                 dim = *out_dim;
@@ -469,7 +506,72 @@ fn run<T: Element>(stages: &[Stage<T>], input: &Matrix) -> Matrix {
             }
         }
     }
-    Matrix::from_vec(rows, dim, cur.into_iter().map(Element::to_f64).collect())
+    (cur, dim)
+}
+
+/// [`InferPlan::infer_shared_prefix`] at precision `T`.
+fn run_shared_prefix<T: Element>(
+    stages: &[Stage<T>],
+    out_dim: Option<usize>,
+    shared: &Matrix,
+    tail: &Matrix,
+) -> Matrix {
+    let Some((
+        Stage::Affine {
+            in_dim,
+            out_dim: h,
+            wt,
+            bias,
+            act,
+        },
+        rest,
+    )) = stages.split_first()
+    else {
+        panic!("InferPlan::infer_shared_prefix: the first stage must be affine");
+    };
+    let (rows, p) = shared.shape();
+    let q = tail.cols();
+    assert_eq!(
+        p + q,
+        *in_dim,
+        "InferPlan::infer_shared_prefix: shared width {p} + tail width {q} != input width {in_dim}"
+    );
+    let draws = tail.rows().checked_div(rows).unwrap_or(0);
+    assert_eq!(
+        draws * rows,
+        tail.rows(),
+        "InferPlan::infer_shared_prefix: {} tail rows are not a whole number of {rows}-row draws",
+        tail.rows()
+    );
+    let h = *h;
+    // `C += A·B` adds each row's `k` terms in ascending order onto what `C`
+    // already holds, so the shared columns' products followed by the tail's
+    // are the same chain as the full `[shared | tail]` row.
+    let (wt_shared, wt_tail) = wt.split_at(p * h);
+    let mut prefix = vec![T::ZERO; rows * h];
+    T::gemm_nn(
+        rows,
+        p,
+        h,
+        &to_elems(shared.as_slice()),
+        wt_shared,
+        &mut prefix,
+    );
+    let tail_elems: Vec<T> = to_elems(tail.as_slice());
+    let per_group = (DRAW_GROUP_ROWS / rows.max(1)).max(1);
+    let mut out = Vec::new();
+    for first in (0..draws).step_by(per_group) {
+        let group = per_group.min(draws - first);
+        let m = group * rows;
+        let mut c = prefix.repeat(group);
+        let a = &tail_elems[first * rows * q..(first * rows + m) * q];
+        T::gemm_nn(m, q, h, a, wt_tail, &mut c);
+        T::bias_act(&mut c, bias, *act);
+        let (y, _) = run_stages(rest, m, h, c);
+        out.extend(y.into_iter().map(Element::to_f64));
+    }
+    let width = out_dim.expect("an affine first stage fixes the output width");
+    Matrix::from_vec(tail.rows(), width, out)
 }
 
 #[cfg(test)]
@@ -555,30 +657,28 @@ mod tests {
     }
 
     #[test]
-    fn single_row_gemv_path_bit_identical_to_batched() {
-        // The rows == 1 fast path must be indistinguishable from slicing a
-        // row out of a batched call: a serve request that arrives alone has
-        // to produce the same bits as the same request inside a batch.
+    fn single_row_bit_identical_to_batched() {
+        // A serve request that arrives alone has to produce the same bits
+        // as the same request inside a batch: one-row batches take the
+        // same GEMM kernels as every other batch size.
         let net = rich_net(18);
         let plan = InferPlan::compile(&net).unwrap();
         let x = Matrix::from_fn(9, 6, |i, j| (i as f64 * 0.9 - j as f64 * 0.45).cos());
-        let batched = plan.infer(&x, InferPrecision::F64Exact);
-        for r in 0..x.rows() {
-            let row = Matrix::from_rows(&[x.row(r)]);
-            let single = plan.infer(&row, InferPrecision::F64Exact);
-            assert_bits_eq(&single, &Matrix::from_rows(&[batched.row(r)]));
-            // The fast path must also still match the legacy layer chain.
-            assert_bits_eq(&single, &net.infer(&row));
-        }
-        // f32 keeps the FMA GEMM even for one row (GEMV_MATCHES_GEMM is
-        // false there); it only has to stay within the measured envelope.
-        for r in 0..x.rows() {
-            let row = Matrix::from_rows(&[x.row(r)]);
-            let single = plan.infer(&row, InferPrecision::F32Fast);
-            let exact = plan.infer(&row, InferPrecision::F64Exact);
-            for (a, b) in single.as_slice().iter().zip(exact.as_slice()) {
-                assert!((a - b).abs() < 1e-4, "f32 single-row drifted: {a} vs {b}");
+        for precision in [InferPrecision::F64Exact, InferPrecision::F32Fast] {
+            let batched = plan.infer(&x, precision);
+            for r in 0..x.rows() {
+                let row = Matrix::from_rows(&[x.row(r)]);
+                let single = plan.infer(&row, precision);
+                assert_bits_eq(&single, &Matrix::from_rows(&[batched.row(r)]));
             }
+        }
+        // The exact path also still matches the legacy layer chain.
+        for r in 0..x.rows() {
+            let row = Matrix::from_rows(&[x.row(r)]);
+            assert_bits_eq(
+                &plan.infer(&row, InferPrecision::F64Exact),
+                &net.infer(&row),
+            );
         }
     }
 
