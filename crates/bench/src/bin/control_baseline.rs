@@ -20,10 +20,13 @@
 //! draw, the (warm) re-fit, the validation gate against the restored
 //! incumbent, and the atomic hot-swap.
 //!
-//! Writes `BENCH_control.json` at the repository root.
+//! Writes `BENCH_control.json` at the repository root, then gates its own
+//! results (see [`warm_start_gate`]) and exits non-zero on a violation.
 //!
 //! `cargo run -p fsda-bench --release --bin control_baseline [-- --quick]`
 
+use fsda_bench::harness::{enforce, has_flag, mean, Json};
+use fsda_bench::json_record;
 use fsda_core::adapter::AdapterConfig;
 use fsda_core::drift::DriftConfig;
 use fsda_core::fs::{FeatureSeparation, SearchPath, SeparationCache};
@@ -34,7 +37,6 @@ use fsda_data::Dataset;
 use fsda_linalg::SeededRng;
 use fsda_serve::controller::{ControlOutcome, ControllerConfig, DriftController, RegistryRefitter};
 use fsda_serve::server::{ServeConfig, TenantServer};
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,15 +48,17 @@ struct Workload {
     shots_per_class: usize,
 }
 
-struct SeparationRow {
-    name: &'static str,
-    n_src: usize,
-    n_shots: usize,
-    features: usize,
-    cold_ms: f64,
-    warm_ms: f64,
-    ratio: f64,
-    agree: bool,
+json_record! {
+    struct SeparationRow {
+        name: &'static str,
+        n_src: usize,
+        n_shots: usize,
+        features: usize,
+        cold_ms: f64,
+        warm_ms: f64,
+        ratio: f64,
+        partitions_agree: bool,
+    }
 }
 
 /// Best-of-`reps` wall time of `f`, in milliseconds.
@@ -115,7 +119,7 @@ fn measure_separation(w: &Workload, reps: usize) -> SeparationRow {
         cold_ms,
         warm_ms,
         ratio: warm_ms / cold_ms.max(1e-12),
-        agree: sym_diff <= 2,
+        partitions_agree: sym_diff <= 2,
     }
 }
 
@@ -212,18 +216,33 @@ fn measure_control(bundle: &Synth5gcBundle, cycles: usize) -> ControlRun {
     run
 }
 
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter().sum::<f64>() / xs.len() as f64
-}
-
 const TARGET_MAX_RATIO: f64 = 0.5;
 
+/// The CI gate on the bench's results. Failure texts are the contract CI
+/// logs show.
+fn warm_start_gate(workloads: usize, control: &ControlRun, max_ratio: f64) -> Result<(), String> {
+    if workloads < 2 {
+        return Err("bench must cover at least two separation workloads".into());
+    }
+    if control.swaps != control.cycles {
+        return Err(format!(
+            "control loop dropped cycles: {}/{} swapped",
+            control.swaps, control.cycles
+        ));
+    }
+    if control.warm_swaps < 1 {
+        return Err("control loop never exercised the warm path".into());
+    }
+    if max_ratio > TARGET_MAX_RATIO {
+        return Err(format!(
+            "warm re-separation regressed: ratio {max_ratio:.3} exceeds {TARGET_MAX_RATIO:?}"
+        ));
+    }
+    Ok(())
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = has_flag("--quick");
     let (reps, cycles) = if quick { (3, 2) } else { (5, 5) };
 
     // Source-rich presets: the warm cache amortizes the source side of
@@ -246,78 +265,70 @@ fn main() {
 
     let mut rows = Vec::new();
     for w in &workloads {
-        let row = measure_separation(w, reps);
+        let r = measure_separation(w, reps);
         println!(
             "{:>12}  n_src={:>5} d={:>3}  cold {:>8.2} ms  warm {:>8.2} ms  ratio {:.3}  agree={}",
-            row.name, row.n_src, row.features, row.cold_ms, row.warm_ms, row.ratio, row.agree
+            r.name, r.n_src, r.features, r.cold_ms, r.warm_ms, r.ratio, r.partitions_agree
         );
-        rows.push(row);
+        rows.push(r);
     }
     let max_ratio = rows.iter().map(|r| r.ratio).fold(0.0f64, f64::max);
 
     let control_bundle = Synth5gc::small().generate(11).expect("control bundle");
     let control = measure_control(&control_bundle, cycles);
+    let max_detect_to_swap = control
+        .detect_to_swap_ms
+        .iter()
+        .fold(0.0f64, |a, &b| a.max(b));
     println!(
         "control: {} cycles, {} swaps ({} warm), detect->swap mean {:.1} ms max {:.1} ms",
         control.cycles,
         control.swaps,
         control.warm_swaps,
         mean(&control.detect_to_swap_ms),
-        control
-            .detect_to_swap_ms
-            .iter()
-            .fold(0.0f64, |a, &b| a.max(b)),
+        max_detect_to_swap,
     );
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(
-        json,
-        "  \"mode\": \"{}\",",
-        if quick { "quick" } else { "full" }
-    );
-    let _ = writeln!(json, "  \"reps\": {reps},");
-    json.push_str("  \"separation\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str("    {\n");
-        let _ = writeln!(json, "      \"name\": \"{}\",", r.name);
-        let _ = writeln!(json, "      \"n_src\": {},", r.n_src);
-        let _ = writeln!(json, "      \"n_shots\": {},", r.n_shots);
-        let _ = writeln!(json, "      \"features\": {},", r.features);
-        let _ = writeln!(json, "      \"cold_ms\": {:.4},", r.cold_ms);
-        let _ = writeln!(json, "      \"warm_ms\": {:.4},", r.warm_ms);
-        let _ = writeln!(json, "      \"ratio\": {:.4},", r.ratio);
-        let _ = writeln!(json, "      \"partitions_agree\": {}", r.agree);
-        json.push_str(if i + 1 < rows.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
+    Json::object()
+        .field("mode", if quick { "quick" } else { "full" })
+        .field("reps", reps)
+        .field("separation", rows.iter().map(Json::from).collect::<Json>())
+        .field(
+            "control",
+            Json::object()
+                .field("cycles", control.cycles)
+                .field("swaps", control.swaps)
+                .field("warm_swaps", control.warm_swaps)
+                .field("detect_to_swap_ms_mean", mean(&control.detect_to_swap_ms))
+                .field("detect_to_swap_ms_max", max_detect_to_swap),
+        )
+        .field(
+            "summary",
+            Json::object()
+                .field("max_warm_ratio", max_ratio)
+                .field("target_max_ratio", TARGET_MAX_RATIO),
+        )
+        .write_bench("BENCH_control.json");
+    enforce(warm_start_gate(rows.len(), &control, max_ratio));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn warm_start_gate_passes_a_healthy_run_and_fails_a_slow_warm_path() {
+        let run = ControlRun {
+            cycles: 2,
+            swaps: 2,
+            warm_swaps: 1,
+            detect_to_swap_ms: vec![1.0, 1.0],
+        };
+        assert_eq!(warm_start_gate(2, &run, 0.05), Ok(()));
+        let slow = "warm re-separation regressed: ratio 0.510 exceeds 0.5";
+        assert_eq!(warm_start_gate(2, &run, 0.51), Err(slow.into()));
+        let dropped = "control loop dropped cycles: 2/3 swapped";
+        let run = ControlRun { cycles: 3, ..run };
+        assert_eq!(warm_start_gate(2, &run, 0.05), Err(dropped.into()));
     }
-    json.push_str("  ],\n");
-    json.push_str("  \"control\": {\n");
-    let _ = writeln!(json, "    \"cycles\": {},", control.cycles);
-    let _ = writeln!(json, "    \"swaps\": {},", control.swaps);
-    let _ = writeln!(json, "    \"warm_swaps\": {},", control.warm_swaps);
-    let _ = writeln!(
-        json,
-        "    \"detect_to_swap_ms_mean\": {:.4},",
-        mean(&control.detect_to_swap_ms)
-    );
-    let _ = writeln!(
-        json,
-        "    \"detect_to_swap_ms_max\": {:.4}",
-        control
-            .detect_to_swap_ms
-            .iter()
-            .fold(0.0f64, |a, &b| a.max(b))
-    );
-    json.push_str("  },\n");
-    json.push_str("  \"summary\": {\n");
-    let _ = writeln!(json, "    \"max_warm_ratio\": {max_ratio:.4},");
-    let _ = writeln!(json, "    \"target_max_ratio\": {TARGET_MAX_RATIO}");
-    json.push_str("  }\n}\n");
-
-    std::fs::write("BENCH_control.json", &json).expect("write BENCH_control.json");
-    println!("wrote BENCH_control.json (max_warm_ratio = {max_ratio:.3})");
 }

@@ -7,7 +7,8 @@
 //! `reconstruct_batch` against the per-sample reference loop over a
 //! (batch × threads) grid, verifying every parallel run bit-identical to
 //! its reference. Writes both grids to `BENCH_runtime.json` at the
-//! repository root.
+//! repository root, then gates its own results (see [`kernel_gate`] and
+//! [`noop_telemetry_gate`]) and exits non-zero on a violation.
 //!
 //! `cargo run -p fsda-bench --release --bin perf_baseline`
 //!
@@ -28,6 +29,8 @@
 //! reports FS running times in the order of seconds on that width, which is
 //! the regime this baseline tracks.
 
+use fsda_bench::harness::{enforce, median, Json};
+use fsda_bench::json_record;
 use fsda_causal::ci::FisherZ;
 use fsda_causal::pc::{pc, PcConfig, PcResult};
 use fsda_core::adapter::{AdapterConfig, Budget, FsGanAdapter, MC_DRAWS};
@@ -40,7 +43,6 @@ use fsda_models::ClassifierKind;
 use fsda_nn::layer::{Activation, Dense};
 use fsda_nn::norm::BatchNorm1d;
 use fsda_nn::{InferPlan, Sequential};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Block-correlated linear-Gaussian data: every eighth variable starts a new
@@ -74,65 +76,102 @@ fn partition_thread_grid(cores: usize) -> (Vec<usize>, Vec<usize>) {
     (run, skip)
 }
 
-/// Formats a `usize` list as a JSON array.
-fn usize_list_json(v: &[usize]) -> String {
-    let items: Vec<String> = v.iter().map(|t| t.to_string()).collect();
-    format!("[{}]", items.join(", "))
-}
+/// CI gate: the blocked f64 kernel path must beat the textbook naive
+/// executor by this factor (median across batch sizes).
+const F64_TARGET_SPEEDUP: f64 = 1.5;
 
-struct PcCell {
-    features: usize,
-    samples: usize,
-    threads: usize,
-    host_parallelism: usize,
-    elapsed_s: f64,
-    tests_run: usize,
-    tests_per_sec: f64,
-    speedup_vs_1: f64,
-    identical_to_sequential: bool,
-    edges: usize,
-}
+/// CI gate: the blocked f32 path's median speedup over the naive executor.
+const F32_TARGET_SPEEDUP: f64 = 2.5;
 
-struct ReconCell {
-    rows: usize,
-    features: usize,
-    threads: usize,
-    host_parallelism: usize,
-    scalar_elapsed_s: f64,
-    batch_elapsed_s: f64,
-    rows_per_sec: f64,
-    speedup_vs_scalar: f64,
-    identical_to_scalar: bool,
-}
+/// CI gate: the no-op telemetry path's median overhead on `predict_batch`.
+const NOOP_TARGET_OVERHEAD_PCT: f64 = 2.0;
 
-struct GuardCell {
-    rows: usize,
-    features: usize,
-    unguarded_elapsed_s: f64,
-    guarded_elapsed_s: f64,
-    overhead_pct: f64,
-    identical: bool,
-}
+json_record! {
+    struct PcCell {
+        features: usize,
+        samples: usize,
+        threads: usize,
+        host_parallelism: usize,
+        elapsed_s: f64,
+        ci_tests: usize,
+        tests_per_sec: f64,
+        speedup_vs_1: f64,
+        identical_to_sequential: bool,
+        edges: usize,
+    }
 
-struct DispatchCell {
-    rows: usize,
-    features: usize,
-    direct_elapsed_s: f64,
-    dyn_elapsed_s: f64,
-    overhead_pct: f64,
-    identical: bool,
-    identical_to_mc_reference: bool,
-}
+    struct ReconCell {
+        rows: usize,
+        features: usize,
+        threads: usize,
+        host_parallelism: usize,
+        scalar_elapsed_s: f64,
+        batch_elapsed_s: f64,
+        rows_per_sec: f64,
+        speedup_vs_scalar: f64,
+        identical_to_scalar: bool,
+    }
 
-struct TelemetryCell {
-    rows: usize,
-    features: usize,
-    direct_elapsed_s: f64,
-    noop_elapsed_s: f64,
-    aggregating_elapsed_s: f64,
-    noop_overhead_pct: f64,
-    aggregating_overhead_pct: f64,
-    identical: bool,
+    struct GuardCell {
+        rows: usize,
+        features: usize,
+        unguarded_elapsed_s: f64,
+        guarded_elapsed_s: f64,
+        overhead_pct: f64,
+        identical: bool,
+    }
+
+    struct DispatchCell {
+        rows: usize,
+        features: usize,
+        direct_elapsed_s: f64,
+        dyn_elapsed_s: f64,
+        overhead_pct: f64,
+        identical: bool,
+        identical_to_mc_reference: bool,
+    }
+
+    #[derive(Default)]
+    struct TelemetryCell {
+        rows: usize,
+        features: usize,
+        direct_elapsed_s: f64,
+        noop_elapsed_s: f64,
+        aggregating_elapsed_s: f64,
+        noop_overhead_pct: f64,
+        aggregating_overhead_pct: f64,
+        identical: bool,
+    }
+
+    #[derive(Default)]
+    struct KernelCell {
+        rows: usize,
+        in_dim: usize,
+        out_dim: usize,
+        naive_elapsed_s: f64,
+        ikj_elapsed_s: f64,
+        f64_elapsed_s: f64,
+        f32_elapsed_s: f64,
+        naive_rows_per_sec: f64,
+        ikj_rows_per_sec: f64,
+        f64_rows_per_sec: f64,
+        f32_rows_per_sec: f64,
+        f64_speedup_vs_naive: f64,
+        f64_speedup_vs_ikj: f64,
+        f32_speedup_vs_naive: f64,
+        f64_identical_to_naive: bool,
+        f32_max_abs_err: f64,
+    }
+
+    #[derive(Default)]
+    struct DivergenceCell {
+        rows: usize,
+        features: usize,
+        max_abs_err: f64,
+        max_rel_err: f64,
+        prediction_flips: usize,
+        flip_rate: f64,
+    }
 }
 
 fn run_pc(test: &FisherZ, threads: usize) -> (PcResult, f64) {
@@ -142,9 +181,8 @@ fn run_pc(test: &FisherZ, threads: usize) -> (PcResult, f64) {
         parallel: threads > 1,
         num_threads: Some(threads),
     };
-    let start = Instant::now();
-    let result = pc(test, &config).expect("PC run");
-    (result, start.elapsed().as_secs_f64())
+    let (elapsed, result) = per_call(1, || pc(test, &config).expect("PC run"));
+    (result, elapsed)
 }
 
 fn bench_pc(cores: usize) -> Vec<PcCell> {
@@ -193,7 +231,7 @@ fn bench_pc(cores: usize) -> Vec<PcCell> {
                 threads: t,
                 host_parallelism: cores,
                 elapsed_s: elapsed,
-                tests_run: result.tests_run,
+                ci_tests: result.tests_run,
                 tests_per_sec: result.tests_run as f64 / elapsed.max(1e-12),
                 speedup_vs_1: seq_time / elapsed.max(1e-12),
                 identical_to_sequential: identical,
@@ -205,7 +243,7 @@ fn bench_pc(cores: usize) -> Vec<PcCell> {
                 cell.samples,
                 cell.threads,
                 cell.edges,
-                cell.tests_run,
+                cell.ci_tests,
                 cell.tests_per_sec,
                 cell.elapsed_s,
                 cell.speedup_vs_1
@@ -214,6 +252,17 @@ fn bench_pc(cores: usize) -> Vec<PcCell> {
         }
     }
     cells
+}
+
+/// Wall time per call of `inner` back-to-back calls of `f`, and the last
+/// call's result.
+fn per_call<T>(inner: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let start = Instant::now();
+    let mut out = f();
+    for _ in 1..inner {
+        out = f();
+    }
+    (start.elapsed().as_secs_f64() / inner as f64, out)
 }
 
 /// Tiles the 5GC target-test features up to `rows` serving rows.
@@ -243,14 +292,14 @@ fn bench_guard_overhead(adapter: &FsGanAdapter, features: &Matrix) -> Vec<GuardC
         let mut guarded = f64::INFINITY;
         let mut identical = true;
         for _ in 0..9 {
-            let start = Instant::now();
-            let plain = adapter.reconstruct_batch(&x, Some(1));
-            unguarded = unguarded.min(start.elapsed().as_secs_f64());
-            let start = Instant::now();
-            let checked = adapter
-                .try_reconstruct_batch(&x, Some(1), &guard)
-                .expect("clean batch must pass the guard");
-            guarded = guarded.min(start.elapsed().as_secs_f64());
+            let (t, plain) = per_call(1, || adapter.reconstruct_batch(&x, Some(1)));
+            unguarded = unguarded.min(t);
+            let (t, checked) = per_call(1, || {
+                adapter
+                    .try_reconstruct_batch(&x, Some(1), &guard)
+                    .expect("clean batch must pass the guard")
+            });
+            guarded = guarded.min(t);
             identical &= plain == checked;
         }
         assert!(identical, "guarded path changed the reconstruction");
@@ -335,18 +384,10 @@ fn bench_dispatch_overhead(adapter: &FsGanAdapter, features: &Matrix) -> Vec<Dis
         let mut dynamic = f64::INFINITY;
         let mut identical = true;
         for _ in 0..25 {
-            let start = Instant::now();
-            let mut a = Vec::new();
-            for _ in 0..inner {
-                a = adapter.predict_batch(&x, Some(1));
-            }
-            direct = direct.min(start.elapsed().as_secs_f64() / inner as f64);
-            let start = Instant::now();
-            let mut b = Vec::new();
-            for _ in 0..inner {
-                b = virtual_adapter.predict_batch(&x, Some(1));
-            }
-            dynamic = dynamic.min(start.elapsed().as_secs_f64() / inner as f64);
+            let (t, a) = per_call(inner, || adapter.predict_batch(&x, Some(1)));
+            direct = direct.min(t);
+            let (t, b) = per_call(inner, || virtual_adapter.predict_batch(&x, Some(1)));
+            dynamic = dynamic.min(t);
             identical &= a == b;
         }
         assert!(identical, "registry dispatch changed the predictions");
@@ -403,27 +444,15 @@ fn bench_telemetry_overhead(adapter: &FsGanAdapter, features: &Matrix) -> Vec<Te
         let mut aggregating = f64::INFINITY;
         let mut identical = true;
         for _ in 0..25 {
-            let start = Instant::now();
-            let mut a = Vec::new();
-            for _ in 0..inner {
-                a = adapter.predict_batch(&x, Some(1));
-            }
-            direct = direct.min(start.elapsed().as_secs_f64() / inner as f64);
+            let (t, a) = per_call(inner, || adapter.predict_batch(&x, Some(1)));
+            direct = direct.min(t);
 
-            let start = Instant::now();
-            let mut b = Vec::new();
-            for _ in 0..inner {
-                b = virtual_adapter.predict_batch(&x, Some(1));
-            }
-            noop = noop.min(start.elapsed().as_secs_f64() / inner as f64);
+            let (t, b) = per_call(inner, || virtual_adapter.predict_batch(&x, Some(1)));
+            noop = noop.min(t);
 
             fsda_telemetry::set_recorder(recorder.clone());
-            let start = Instant::now();
-            let mut c = Vec::new();
-            for _ in 0..inner {
-                c = virtual_adapter.predict_batch(&x, Some(1));
-            }
-            aggregating = aggregating.min(start.elapsed().as_secs_f64() / inner as f64);
+            let (t, c) = per_call(inner, || virtual_adapter.predict_batch(&x, Some(1)));
+            aggregating = aggregating.min(t);
             fsda_telemetry::clear_recorder();
 
             identical &= a == b && b == c;
@@ -458,34 +487,6 @@ fn bench_telemetry_overhead(adapter: &FsGanAdapter, features: &Matrix) -> Vec<Te
         "aggregating runs must have recorded predict spans"
     );
     cells
-}
-
-struct KernelCell {
-    rows: usize,
-    in_dim: usize,
-    out_dim: usize,
-    naive_elapsed_s: f64,
-    ikj_elapsed_s: f64,
-    f64_elapsed_s: f64,
-    f32_elapsed_s: f64,
-    naive_rows_per_sec: f64,
-    ikj_rows_per_sec: f64,
-    f64_rows_per_sec: f64,
-    f32_rows_per_sec: f64,
-    f64_speedup_vs_naive: f64,
-    f64_speedup_vs_ikj: f64,
-    f32_speedup_vs_naive: f64,
-    f64_identical_to_naive: bool,
-    f32_max_abs_err: f64,
-}
-
-struct DivergenceCell {
-    rows: usize,
-    features: usize,
-    max_abs_err: f64,
-    max_rel_err: f64,
-    prediction_flips: usize,
-    flip_rate: f64,
 }
 
 /// Times the compiled [`InferPlan`] forward pass four ways on a
@@ -542,33 +543,17 @@ fn bench_kernels() -> Vec<KernelCell> {
         let mut identical = true;
         let mut max_abs_err = 0.0f64;
         for _ in 0..9 {
-            let start = Instant::now();
-            let mut a = Matrix::zeros(0, 0);
-            for _ in 0..inner {
-                a = plan.infer_textbook(&x);
-            }
-            naive = naive.min(start.elapsed().as_secs_f64() / inner as f64);
+            let (t, a) = per_call(inner, || plan.infer_textbook(&x));
+            naive = naive.min(t);
 
-            let start = Instant::now();
-            let mut r = Matrix::zeros(0, 0);
-            for _ in 0..inner {
-                r = plan.infer_reference(&x);
-            }
-            ikj = ikj.min(start.elapsed().as_secs_f64() / inner as f64);
+            let (t, r) = per_call(inner, || plan.infer_reference(&x));
+            ikj = ikj.min(t);
 
-            let start = Instant::now();
-            let mut b = Matrix::zeros(0, 0);
-            for _ in 0..inner {
-                b = plan.infer(&x, InferPrecision::F64Exact);
-            }
-            f64_t = f64_t.min(start.elapsed().as_secs_f64() / inner as f64);
+            let (t, b) = per_call(inner, || plan.infer(&x, InferPrecision::F64Exact));
+            f64_t = f64_t.min(t);
 
-            let start = Instant::now();
-            let mut c = Matrix::zeros(0, 0);
-            for _ in 0..inner {
-                c = plan.infer(&x, InferPrecision::F32Fast);
-            }
-            f32_t = f32_t.min(start.elapsed().as_secs_f64() / inner as f64);
+            let (t, c) = per_call(inner, || plan.infer(&x, InferPrecision::F32Fast));
+            f32_t = f32_t.min(t);
 
             identical &= a == b && r == b;
             for r in 0..b.rows() {
@@ -708,13 +693,9 @@ fn bench_reconstruction(cores: usize) -> ReconBenches {
     let mut cells: Vec<ReconCell> = Vec::new();
     for &rows in &[64usize, 256, 1024] {
         let x = serving_batch(bundle.target_test.features(), rows);
-        let start = Instant::now();
-        let scalar = adapter.reconstruct_scalar(&x);
-        let scalar_elapsed = start.elapsed().as_secs_f64();
+        let (scalar_elapsed, scalar) = per_call(1, || adapter.reconstruct_scalar(&x));
         for &t in &thread_grid {
-            let start = Instant::now();
-            let batch = adapter.reconstruct_batch(&x, Some(t));
-            let batch_elapsed = start.elapsed().as_secs_f64();
+            let (batch_elapsed, batch) = per_call(1, || adapter.reconstruct_batch(&x, Some(t)));
             let identical = batch == scalar;
             assert!(
                 identical,
@@ -757,6 +738,79 @@ fn bench_reconstruction(cores: usize) -> ReconBenches {
     )
 }
 
+/// The kernel-plane CI gate: median speedups over the naive executor,
+/// bit-identity, and zero f32 prediction flips. Failure texts are the
+/// contract CI logs show.
+fn kernel_gate(cells: &[KernelCell], divergence: &[DivergenceCell]) -> Result<(), String> {
+    let f64s: Vec<f64> = cells.iter().map(|c| c.f64_speedup_vs_naive).collect();
+    let f32s: Vec<f64> = cells.iter().map(|c| c.f32_speedup_vs_naive).collect();
+    let (f64_med, f32_med) = (median(&f64s), median(&f32s));
+    println!(
+        "path {}: f64 speedups {f64s:?} (median {f64_med:.2}x, gate {F64_TARGET_SPEEDUP:?}x), \
+         f32 speedups {f32s:?} (median {f32_med:.2}x, gate {F32_TARGET_SPEEDUP:?}x)",
+        kernel_path().label()
+    );
+    if cells.is_empty() {
+        return Err("reconstruction_kernels section has no cells".into());
+    }
+    if !cells.iter().all(|c| c.f64_identical_to_naive) {
+        return Err("blocked f64 kernels diverged from the naive reference".into());
+    }
+    if f64_med < F64_TARGET_SPEEDUP {
+        return Err(format!(
+            "blocked f64 speedup {f64_med:.2}x fell below {F64_TARGET_SPEEDUP:?}x"
+        ));
+    }
+    if f32_med < F32_TARGET_SPEEDUP {
+        return Err(format!(
+            "blocked f32 speedup {f32_med:.2}x fell below {F32_TARGET_SPEEDUP:?}x"
+        ));
+    }
+    if divergence.is_empty() {
+        return Err("f32_divergence section has no cells".into());
+    }
+    if divergence.iter().any(|c| c.prediction_flips != 0) {
+        return Err("f32 fast path flipped predictions on the golden fixture".into());
+    }
+    Ok(())
+}
+
+/// The no-op telemetry CI gate: instrumentation that is not enabled may
+/// not change predictions or cost more than its budget (median across
+/// batch sizes). Failure texts are the contract CI logs show.
+fn noop_telemetry_gate(cells: &[TelemetryCell]) -> Result<(), String> {
+    let overheads: Vec<f64> = cells.iter().map(|c| c.noop_overhead_pct).collect();
+    let median = median(&overheads);
+    println!(
+        "no-op overhead per cell: {overheads:?} (median {median:.2}%, \
+         gate {NOOP_TARGET_OVERHEAD_PCT:?}%)"
+    );
+    if !cells.iter().all(|c| c.identical) {
+        return Err("telemetry changed predictions".into());
+    }
+    if median > NOOP_TARGET_OVERHEAD_PCT {
+        return Err(format!(
+            "no-op telemetry overhead {median:.2}% exceeds {NOOP_TARGET_OVERHEAD_PCT:?}% budget"
+        ));
+    }
+    Ok(())
+}
+
+/// One `BENCH_runtime.json` section: a description, its numeric settings
+/// and bounds, and its cells.
+fn section<'a, T>(description: &str, settings: &[(&str, f64)], cells: &'a [T]) -> Json
+where
+    Json: From<&'a T>,
+{
+    settings
+        .iter()
+        .fold(
+            Json::object().field("description", description),
+            |o, &(k, v)| o.field(k, v),
+        )
+        .field("cells", cells.iter().map(Json::from).collect::<Json>())
+}
+
 fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("perf_baseline: host parallelism {cores} core(s)\n");
@@ -767,275 +821,151 @@ fn main() {
     let (recon_cells, guard_cells, dispatch_cells, telemetry_cells, divergence_cells) =
         bench_reconstruction(cores);
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"host_parallelism\": {cores},");
-    let _ = writeln!(
-        json,
-        "  \"thread_grid\": {},",
-        usize_list_json(&thread_grid)
-    );
-    let _ = writeln!(
-        json,
-        "  \"skipped_thread_counts\": {},",
-        usize_list_json(&skipped_threads)
-    );
-    let _ = writeln!(
-        json,
-        "  \"note\": \"thread counts above host_parallelism are skipped up \
-         front (listed in skipped_thread_counts): timing them would \
-         measure scheduler overhead, not the engine\","
-    );
+    Json::object()
+        .field("host_parallelism", cores)
+        .field("thread_grid", thread_grid)
+        .field("skipped_thread_counts", skipped_threads)
+        .field(
+            "note",
+            "thread counts above host_parallelism are skipped up front (listed \
+             in skipped_thread_counts): timing them would measure scheduler \
+             overhead, not the engine",
+        )
+        .field(
+            "pc_causal_search",
+            section(
+                "PC skeleton+orientation over block-chain data; parallel rows \
+                 are verified bit-identical to threads=1",
+                &[("alpha", 0.01)],
+                &pc_cells,
+            )
+            .field("max_cond_size", 2usize),
+        )
+        .field(
+            "reconstruction_kernels",
+            section(
+                "compiled InferPlan forward pass on a reconstruction-sized \
+                 Dense-BN-ReLU net: textbook naive executor (ijk dot-product \
+                 triple loop, per-call weight materialization, separate \
+                 bias/activation passes — the classic GEMM baseline) vs the \
+                 legacy ikj loop (the partially-optimized pre-kernel matmul, \
+                 reported for transparency) vs the blocked f64 kernel path \
+                 (verified bit-identical to both) vs the blocked f32 path, best \
+                 of 9 amortized samples",
+                &[
+                    ("f64_target_speedup", F64_TARGET_SPEEDUP),
+                    ("f32_target_speedup", F32_TARGET_SPEEDUP),
+                ],
+                &kernel_cells,
+            )
+            .field("kernel_path", kernel_path().label()),
+        )
+        .field(
+            "f32_divergence",
+            section(
+                "end-to-end F32Fast divergence on the trained FS+GAN serving \
+                 path: reconstructed-feature error against the bit-exact \
+                 F64Exact path, and the hard-prediction flip rate (asserted zero \
+                 on the 5GC fixture)",
+                &[],
+                &divergence_cells,
+            ),
+        )
+        .field(
+            "batched_reconstruction",
+            section(
+                "FS+GAN reconstruct_batch vs the per-sample scalar loop on a \
+                 trained 5GC-small pipeline; every batched run is verified \
+                 bit-identical to the scalar reference",
+                &[],
+                &recon_cells,
+            ),
+        )
+        .field(
+            "guarded_serving_overhead",
+            section(
+                "try_reconstruct_batch (reject policy) vs reconstruct_batch on \
+                 clean single-threaded batches, best of 9; the guarded path is \
+                 verified bit-identical and its overhead is the cost of the \
+                 input scan",
+                &[("target_overhead_pct", 5.0)],
+                &guard_cells,
+            ),
+        )
+        .field(
+            "pipeline_dispatch_overhead",
+            section(
+                "predict_batch through the Box<dyn DriftMitigator> registry \
+                 interface vs the direct inherent call on the same trained \
+                 FS+GAN pipeline, best of 25 amortized samples; one virtual call \
+                 per batch, verified bit-identical, and the averaged \
+                 probabilities verified bit-identical to the per-draw \
+                 Monte-Carlo reference",
+                &[("target_overhead_pct", 2.0)],
+                &dispatch_cells,
+            ),
+        )
+        .field(
+            "telemetry_overhead",
+            section(
+                "predict_batch timed three ways on the same trained FS+GAN \
+                 pipeline, best of 25 amortized samples: direct inherent call \
+                 (uninstrumented), registry call with telemetry disabled (no-op \
+                 path, one relaxed atomic load per emission site), and registry \
+                 call with an aggregating InMemoryRecorder installed; all three \
+                 verified bit-identical",
+                &[
+                    ("noop_target_overhead_pct", NOOP_TARGET_OVERHEAD_PCT),
+                    ("aggregating_target_overhead_pct", 5.0),
+                ],
+                &telemetry_cells,
+            ),
+        )
+        .write_bench("BENCH_runtime.json");
+    enforce(kernel_gate(&kernel_cells, &divergence_cells));
+    enforce(noop_telemetry_gate(&telemetry_cells));
+}
 
-    let _ = writeln!(json, "  \"pc_causal_search\": {{");
-    let _ = writeln!(
-        json,
-        "    \"description\": \"PC skeleton+orientation over block-chain data; \
-         parallel rows are verified bit-identical to threads=1\","
-    );
-    let _ = writeln!(json, "    \"alpha\": 0.01,");
-    let _ = writeln!(json, "    \"max_cond_size\": 2,");
-    json.push_str("    \"cells\": [\n");
-    for (k, c) in pc_cells.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"features\": {}, \"samples\": {}, \"threads\": {}, \
-             \"host_parallelism\": {}, \
-             \"edges\": {}, \"ci_tests\": {}, \"tests_per_sec\": {:.1}, \
-             \"elapsed_s\": {:.6}, \"speedup_vs_1\": {:.3}, \
-             \"identical_to_sequential\": {}}}",
-            c.features,
-            c.samples,
-            c.threads,
-            c.host_parallelism,
-            c.edges,
-            c.tests_run,
-            c.tests_per_sec,
-            c.elapsed_s,
-            c.speedup_vs_1,
-            c.identical_to_sequential
-        );
-        json.push_str(if k + 1 < pc_cells.len() { ",\n" } else { "\n" });
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kernel_gate_passes_fast_exact_kernels_and_fails_slow_ones() {
+        let kernels = |f64_speedup_vs_naive, f32_speedup_vs_naive| {
+            [KernelCell {
+                f64_speedup_vs_naive,
+                f32_speedup_vs_naive,
+                f64_identical_to_naive: true,
+                ..KernelCell::default()
+            }]
+        };
+        let clean = [DivergenceCell::default()];
+        assert_eq!(kernel_gate(&kernels(2.0, 3.0), &clean), Ok(()));
+        let slow = "blocked f64 speedup 1.40x fell below 1.5x";
+        assert_eq!(kernel_gate(&kernels(1.4, 3.0), &clean), Err(slow.into()));
+        let flipped = [DivergenceCell {
+            prediction_flips: 1,
+            ..DivergenceCell::default()
+        }];
+        let flips = "f32 fast path flipped predictions on the golden fixture";
+        assert_eq!(kernel_gate(&kernels(2.0, 3.0), &flipped), Err(flips.into()));
     }
-    json.push_str("    ]\n  },\n");
 
-    let _ = writeln!(json, "  \"reconstruction_kernels\": {{");
-    let _ = writeln!(
-        json,
-        "    \"description\": \"compiled InferPlan forward pass on a \
-         reconstruction-sized Dense-BN-ReLU net: textbook naive executor \
-         (ijk dot-product triple loop, per-call weight materialization, \
-         separate bias/activation passes — the classic GEMM baseline) vs \
-         the legacy ikj loop (the partially-optimized pre-kernel matmul, \
-         reported for transparency) vs the blocked f64 kernel path \
-         (verified bit-identical to both) vs the blocked f32 path, best \
-         of 9 amortized samples\","
-    );
-    let _ = writeln!(json, "    \"kernel_path\": \"{}\",", kernel_path().label());
-    let _ = writeln!(json, "    \"f64_target_speedup\": 1.5,");
-    let _ = writeln!(json, "    \"f32_target_speedup\": 2.5,");
-    json.push_str("    \"cells\": [\n");
-    for (k, c) in kernel_cells.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"rows\": {}, \"in_dim\": {}, \"out_dim\": {}, \
-             \"naive_elapsed_s\": {:.6}, \"ikj_elapsed_s\": {:.6}, \
-             \"f64_elapsed_s\": {:.6}, \
-             \"f32_elapsed_s\": {:.6}, \"naive_rows_per_sec\": {:.1}, \
-             \"ikj_rows_per_sec\": {:.1}, \
-             \"f64_rows_per_sec\": {:.1}, \"f32_rows_per_sec\": {:.1}, \
-             \"f64_speedup_vs_naive\": {:.3}, \"f64_speedup_vs_ikj\": {:.3}, \
-             \"f32_speedup_vs_naive\": {:.3}, \
-             \"f64_identical_to_naive\": {}, \"f32_max_abs_err\": {:.3e}}}",
-            c.rows,
-            c.in_dim,
-            c.out_dim,
-            c.naive_elapsed_s,
-            c.ikj_elapsed_s,
-            c.f64_elapsed_s,
-            c.f32_elapsed_s,
-            c.naive_rows_per_sec,
-            c.ikj_rows_per_sec,
-            c.f64_rows_per_sec,
-            c.f32_rows_per_sec,
-            c.f64_speedup_vs_naive,
-            c.f64_speedup_vs_ikj,
-            c.f32_speedup_vs_naive,
-            c.f64_identical_to_naive,
-            c.f32_max_abs_err
+    #[test]
+    fn noop_telemetry_gate_holds_the_median_to_budget() {
+        let cells = |overheads: [f64; 3]| {
+            overheads.map(|noop_overhead_pct| TelemetryCell {
+                noop_overhead_pct,
+                identical: true,
+                ..TelemetryCell::default()
+            })
+        };
+        assert_eq!(noop_telemetry_gate(&cells([-1.0, 1.5, 9.0])), Ok(()));
+        let over = "no-op telemetry overhead 2.50% exceeds 2.0% budget";
+        assert_eq!(
+            noop_telemetry_gate(&cells([0.0, 2.5, 3.0])),
+            Err(over.into())
         );
-        json.push_str(if k + 1 < kernel_cells.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
     }
-    json.push_str("    ]\n  },\n");
-
-    let _ = writeln!(json, "  \"f32_divergence\": {{");
-    let _ = writeln!(
-        json,
-        "    \"description\": \"end-to-end F32Fast divergence on the trained \
-         FS+GAN serving path: reconstructed-feature error against the \
-         bit-exact F64Exact path, and the hard-prediction flip rate \
-         (asserted zero on the 5GC fixture)\","
-    );
-    json.push_str("    \"cells\": [\n");
-    for (k, c) in divergence_cells.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"rows\": {}, \"features\": {}, \
-             \"max_abs_err\": {:.3e}, \"max_rel_err\": {:.3e}, \
-             \"prediction_flips\": {}, \"flip_rate\": {:.4}}}",
-            c.rows, c.features, c.max_abs_err, c.max_rel_err, c.prediction_flips, c.flip_rate
-        );
-        json.push_str(if k + 1 < divergence_cells.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("    ]\n  },\n");
-
-    let _ = writeln!(json, "  \"batched_reconstruction\": {{");
-    let _ = writeln!(
-        json,
-        "    \"description\": \"FS+GAN reconstruct_batch vs the per-sample \
-         scalar loop on a trained 5GC-small pipeline; every batched run is \
-         verified bit-identical to the scalar reference\","
-    );
-    json.push_str("    \"cells\": [\n");
-    for (k, c) in recon_cells.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"rows\": {}, \"features\": {}, \"threads\": {}, \
-             \"host_parallelism\": {}, \
-             \"scalar_elapsed_s\": {:.6}, \"batch_elapsed_s\": {:.6}, \
-             \"rows_per_sec\": {:.1}, \"speedup_vs_scalar\": {:.3}, \
-             \"identical_to_scalar\": {}}}",
-            c.rows,
-            c.features,
-            c.threads,
-            c.host_parallelism,
-            c.scalar_elapsed_s,
-            c.batch_elapsed_s,
-            c.rows_per_sec,
-            c.speedup_vs_scalar,
-            c.identical_to_scalar
-        );
-        json.push_str(if k + 1 < recon_cells.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("    ]\n  },\n");
-
-    let _ = writeln!(json, "  \"guarded_serving_overhead\": {{");
-    let _ = writeln!(
-        json,
-        "    \"description\": \"try_reconstruct_batch (reject policy) vs \
-         reconstruct_batch on clean single-threaded batches, best of 9; \
-         the guarded path is verified bit-identical and its overhead is \
-         the cost of the input scan\","
-    );
-    let _ = writeln!(json, "    \"target_overhead_pct\": 5.0,");
-    json.push_str("    \"cells\": [\n");
-    for (k, c) in guard_cells.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"rows\": {}, \"features\": {}, \
-             \"unguarded_elapsed_s\": {:.6}, \"guarded_elapsed_s\": {:.6}, \
-             \"overhead_pct\": {:.2}, \"identical\": {}}}",
-            c.rows,
-            c.features,
-            c.unguarded_elapsed_s,
-            c.guarded_elapsed_s,
-            c.overhead_pct,
-            c.identical
-        );
-        json.push_str(if k + 1 < guard_cells.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("    ]\n  },\n");
-
-    let _ = writeln!(json, "  \"pipeline_dispatch_overhead\": {{");
-    let _ = writeln!(
-        json,
-        "    \"description\": \"predict_batch through the Box<dyn \
-         DriftMitigator> registry interface vs the direct inherent call on \
-         the same trained FS+GAN pipeline, best of 25 amortized samples; \
-         one virtual call per batch, verified bit-identical, and the \
-         averaged probabilities verified bit-identical to the per-draw \
-         Monte-Carlo reference\","
-    );
-    let _ = writeln!(json, "    \"target_overhead_pct\": 2.0,");
-    json.push_str("    \"cells\": [\n");
-    for (k, c) in dispatch_cells.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"rows\": {}, \"features\": {}, \
-             \"direct_elapsed_s\": {:.6}, \"dyn_elapsed_s\": {:.6}, \
-             \"overhead_pct\": {:.2}, \"identical\": {}, \
-             \"identical_to_mc_reference\": {}}}",
-            c.rows,
-            c.features,
-            c.direct_elapsed_s,
-            c.dyn_elapsed_s,
-            c.overhead_pct,
-            c.identical,
-            c.identical_to_mc_reference
-        );
-        json.push_str(if k + 1 < dispatch_cells.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("    ]\n  },\n");
-
-    let _ = writeln!(json, "  \"telemetry_overhead\": {{");
-    let _ = writeln!(
-        json,
-        "    \"description\": \"predict_batch timed three ways on the same \
-         trained FS+GAN pipeline, best of 25 amortized samples: direct \
-         inherent call (uninstrumented), registry call with telemetry \
-         disabled (no-op path, one relaxed atomic load per emission \
-         site), and registry call with an aggregating InMemoryRecorder \
-         installed; all three verified bit-identical\","
-    );
-    let _ = writeln!(json, "    \"noop_target_overhead_pct\": 2.0,");
-    let _ = writeln!(json, "    \"aggregating_target_overhead_pct\": 5.0,");
-    json.push_str("    \"cells\": [\n");
-    for (k, c) in telemetry_cells.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"rows\": {}, \"features\": {}, \
-             \"direct_elapsed_s\": {:.6}, \"noop_elapsed_s\": {:.6}, \
-             \"aggregating_elapsed_s\": {:.6}, \
-             \"noop_overhead_pct\": {:.2}, \
-             \"aggregating_overhead_pct\": {:.2}, \"identical\": {}}}",
-            c.rows,
-            c.features,
-            c.direct_elapsed_s,
-            c.noop_elapsed_s,
-            c.aggregating_elapsed_s,
-            c.noop_overhead_pct,
-            c.aggregating_overhead_pct,
-            c.identical
-        );
-        json.push_str(if k + 1 < telemetry_cells.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("    ]\n  }\n}\n");
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_runtime.json");
-    std::fs::write(path, &json).expect("write BENCH_runtime.json");
-    println!("\nwrote {path}");
 }

@@ -7,31 +7,30 @@
 //! features, then fans the cells across the `fsda_linalg::par` pool. Every
 //! cell is a pure function of its spec (per-cell derived seeds, inner
 //! generation and prediction single-threaded), so the sweep is
-//! **bit-identical at any thread count**; `--verify-determinism` re-runs a
-//! prefix of cells sequentially and asserts exact equality.
+//! **bit-identical at any thread count**; every run re-runs a prefix of
+//! cells sequentially and checks exact equality.
 //!
 //! Per cell and registry method, the runner records end-to-end macro-F1
 //! on the drifted test set plus — for feature-separating methods — FS
-//! recall/precision against the scenario's known intervention set. CI
-//! gates on the easy cells (strong, abrupt, no label shift, no
-//! adversarial coupling): mean FS recall must stay >= 0.9.
+//! recall/precision against the scenario's known intervention set. The
+//! binary gates its own results after writing them: at least 18 cells,
+//! every macro-F1 in [0, 1], FS recall reported on every cell, the
+//! spot-check bit-identical, and mean FS recall over the easy cells
+//! (strong, abrupt, no label shift, no adversarial coupling) >= 0.9. A
+//! violation exits non-zero.
 //!
 //! Writes `BENCH_scenarios.json` at the repository root and prints a
 //! summary table.
 //!
 //! `cargo run -p fsda-bench --release --bin scenario_sweep [-- --quick]
-//!  [--threads N] [--verify-determinism]`
+//!  [--threads N]`
 
+use fsda_bench::harness::{enforce, has_flag, mean_of, run_grid, GridRun, Json};
 use fsda_core::adapter::AdapterConfig;
-use fsda_core::sweep::run_scenario_cell;
+use fsda_core::sweep::CellOutcome;
 use fsda_core::Method;
-use fsda_data::fewshot::few_shot_subset;
 use fsda_data::scenario::{ScenarioSpec, Schedule, Topology};
-use fsda_linalg::par::{par_map, resolve_threads};
-use fsda_linalg::SeededRng;
 use fsda_models::ClassifierKind;
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Registry methods every cell runs: the paper's FS front-end and the
 /// unmitigated source-only baseline it must beat.
@@ -43,32 +42,8 @@ const EASY_STRENGTH: f64 = 2.0;
 /// CI gate: mean FS recall over easy cells.
 const TARGET_EASY_RECALL: f64 = 0.9;
 
-/// One method's scores on one cell.
-#[derive(Clone, PartialEq)]
-struct MethodScore {
-    slug: &'static str,
-    macro_f1: f64,
-    fs_precision: Option<f64>,
-    fs_recall: Option<f64>,
-    detected: Option<usize>,
-}
-
-/// One completed sweep cell.
-#[derive(Clone, PartialEq)]
-struct CellRecord {
-    id: usize,
-    spec: ScenarioSpec,
-    easy: bool,
-    scores: Vec<MethodScore>,
-}
-
-/// Splitmix64 finalizer for per-cell seed derivation.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// Leading cells the determinism spot-check re-runs sequentially.
+const SPOT_CHECK: usize = 8;
 
 fn is_easy(spec: &ScenarioSpec) -> bool {
     spec.strength >= EASY_STRENGTH
@@ -156,114 +131,61 @@ fn build_grid(quick: bool) -> Vec<ScenarioSpec> {
             );
         }
     }
-    // Per-cell seeds derive from the cell index so every cell is a pure,
-    // repeatable function of the grid position.
-    for (i, spec) in grid.iter_mut().enumerate() {
-        *spec = spec.clone().with_seed(mix(0x5CE7_A210 + i as u64));
-    }
     grid
 }
 
-/// Runs one cell: compile, generate (single-threaded — parallelism lives
-/// at the cell fan-out), draw shots, run every method.
-fn run_cell(id: usize, spec: &ScenarioSpec) -> CellRecord {
-    let compiled = spec.compile().expect("grid specs are valid");
-    let data = compiled.generate(Some(1)).expect("scenario generation");
-    let mut shot_rng = SeededRng::new(mix(spec.seed ^ 0x5807));
-    let shots =
-        few_shot_subset(&data.target_pool, spec.shots, &mut shot_rng).expect("few-shot draw");
-    // Keep the cell single-threaded end to end: the FS search and the
-    // forest run sequentially so outer fan-out stays oversubscription-free
-    // and the cell is a pure function of the spec.
-    let mut config = AdapterConfig::quick().with_classifier(ClassifierKind::RandomForest);
-    config.fs.parallel = false;
-    config.budget.threads = 1;
-    let scores = METHODS
-        .iter()
-        .map(|&method| {
-            let out = run_scenario_cell(
-                method,
-                &data.source_train,
-                &shots,
-                &data.target_test,
-                &data.ground_truth_variant,
-                &config,
-                mix(spec.seed ^ method as u64),
-            )
-            .expect("cell run");
-            MethodScore {
-                slug: method.slug(),
-                macro_f1: out.macro_f1,
-                fs_precision: out.recovery.map(|r| r.precision),
-                fs_recall: out.recovery.map(|r| r.recall),
-                detected: out.detected_variant.map(|v| v.len()),
+/// FS feature-shift recall on one cell (`METHODS[0]` is FS).
+fn fs_recall(cell: &[CellOutcome]) -> Option<f64> {
+    cell[0].recovery.map(|r| r.recall)
+}
+
+/// FS feature-shift precision on one cell.
+fn fs_precision(cell: &[CellOutcome]) -> Option<f64> {
+    cell[0].recovery.map(|r| r.precision)
+}
+
+/// The CI gate on the sweep's results. Failure texts are the contract CI
+/// logs show.
+fn recovery_gate(run: &GridRun, easy_recall: f64) -> Result<(), String> {
+    if run.cells.len() < 18 {
+        return Err(format!("smoke sweep too small: {} cells", run.cells.len()));
+    }
+    for (id, cell) in run.cells.iter().enumerate() {
+        for out in cell {
+            if !(0.0..=1.0).contains(&out.macro_f1) {
+                return Err(format!(
+                    "cell {id} {}: bad macro_f1 {}",
+                    out.method.slug(),
+                    out.macro_f1
+                ));
             }
-        })
-        .collect();
-    CellRecord {
-        id,
-        spec: spec.clone(),
-        easy: is_easy(spec),
-        scores,
+        }
+        if !cell
+            .iter()
+            .any(|out| out.method == Method::Fs && out.recovery.is_some())
+        {
+            return Err(format!("cell {id}: FS must report feature-shift recall"));
+        }
     }
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        f64::NAN
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
+    if !run.identical {
+        return Err("parallel sweep diverged from sequential re-run".into());
     }
-}
-
-fn opt_json(v: Option<f64>) -> String {
-    v.map_or("null".into(), |x| format!("{x:.6}"))
+    if easy_recall < TARGET_EASY_RECALL {
+        return Err(format!(
+            "easy-cell FS recall {easy_recall:.3} fell below {TARGET_EASY_RECALL:?}"
+        ));
+    }
+    Ok(())
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let verify = args.iter().any(|a| a == "--verify-determinism");
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok());
-    let threads = resolve_threads(threads);
+    let quick = has_flag("--quick");
     let grid = build_grid(quick);
     let mode = if quick { "quick" } else { "full" };
-    println!(
-        "scenario_sweep ({mode}): {} cells x {} methods on {threads} thread(s)\n",
-        grid.len(),
-        METHODS.len()
-    );
-
-    let start = Instant::now();
-    let cells: Vec<CellRecord> = par_map(threads, &grid, run_cell);
-    let elapsed = start.elapsed().as_secs_f64();
-    println!(
-        "swept {} cells in {elapsed:.1}s ({:.2}s/cell)\n",
-        cells.len(),
-        elapsed / cells.len().max(1) as f64
-    );
-
-    // Determinism spot-check: the same prefix of cells, strictly
-    // sequential, must be bit-identical to the pooled run.
-    let checked = if verify {
-        let n = cells.len().min(8);
-        let again: Vec<CellRecord> = par_map(1, &grid[..n], run_cell);
-        for (a, b) in cells[..n].iter().zip(&again) {
-            assert!(
-                a == b,
-                "cell {} differs between {threads}-thread and sequential runs",
-                a.id
-            );
-        }
-        println!("determinism spot-check: {n} cells bit-identical at 1 vs {threads} thread(s)\n");
-        n
-    } else {
-        0
-    };
+    println!("scenario_sweep ({mode})");
+    let config = AdapterConfig::quick().with_classifier(ClassifierKind::RandomForest);
+    let run = run_grid(grid, 0x5CE7_A210, &METHODS, &config, SPOT_CHECK);
+    let cells: Vec<(&ScenarioSpec, &Vec<CellOutcome>)> = run.specs.iter().zip(&run.cells).collect();
 
     // Summary table: FS recall/precision and per-method F1 by topology x
     // strength tier.
@@ -273,42 +195,34 @@ fn main() {
     );
     for topology in Topology::ALL {
         for strength in [2.4, 1.0, 0.5] {
-            let group: Vec<&CellRecord> = cells
+            let group: Vec<&[CellOutcome]> = cells
                 .iter()
-                .filter(|c| c.spec.topology == topology && c.spec.strength == strength)
+                .filter(|(spec, _)| spec.topology == topology && spec.strength == strength)
+                .map(|(_, cell)| cell.as_slice())
                 .collect();
             if group.is_empty() {
                 continue;
             }
-            let col = |f: &dyn Fn(&CellRecord) -> Option<f64>| {
-                mean(&group.iter().filter_map(|c| f(c)).collect::<Vec<f64>>())
-            };
             println!(
                 "{:<9} {:>9.1} {:>6} {:>10.3} {:>10.3} {:>9.3} {:>9.3}",
                 topology.to_string(),
                 strength,
                 group.len(),
-                col(&|c| c.scores[0].fs_recall),
-                col(&|c| c.scores[0].fs_precision),
-                col(&|c| Some(c.scores[0].macro_f1)),
-                col(&|c| Some(c.scores[1].macro_f1)),
+                mean_of(&group, |c| fs_recall(c)),
+                mean_of(&group, |c| fs_precision(c)),
+                mean_of(&group, |c| Some(c[0].macro_f1)),
+                mean_of(&group, |c| Some(c[1].macro_f1)),
             );
         }
     }
 
-    let easy: Vec<&CellRecord> = cells.iter().filter(|c| c.easy).collect();
-    let easy_recall = mean(
-        &easy
-            .iter()
-            .filter_map(|c| c.scores[0].fs_recall)
-            .collect::<Vec<f64>>(),
-    );
-    let easy_precision = mean(
-        &easy
-            .iter()
-            .filter_map(|c| c.scores[0].fs_precision)
-            .collect::<Vec<f64>>(),
-    );
+    let easy: Vec<&[CellOutcome]> = cells
+        .iter()
+        .filter(|(spec, _)| is_easy(spec))
+        .map(|(_, cell)| cell.as_slice())
+        .collect();
+    let easy_recall = mean_of(&easy, |c| fs_recall(c));
+    let easy_precision = mean_of(&easy, |c| fs_precision(c));
     println!(
         "\neasy cells (strength >= {EASY_STRENGTH}, abrupt, no label shift, no adversarial): \
          {} of {} | mean FS recall {easy_recall:.3} (target >= {TARGET_EASY_RECALL}), \
@@ -317,91 +231,106 @@ fn main() {
         cells.len()
     );
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(json, "  \"threads\": {threads},");
-    let _ = writeln!(
-        json,
-        "  \"host_parallelism\": {},",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
-    let _ = writeln!(json, "  \"elapsed_s\": {elapsed:.2},");
-    let _ = writeln!(
-        json,
-        "  \"methods\": [{}],",
-        METHODS
-            .iter()
-            .map(|m| format!("\"{}\"", m.slug()))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(
-        json,
-        "  \"description\": \"drift-scenario fuzzing sweep over the SCM \
-         generators: every cell compiles a declarative scenario spec with \
-         recorded ground-truth intervention targets, fits each method on \
-         the generated source + few shots, and scores end-to-end macro-F1 \
-         plus FS recall/precision against the known target set; cells are \
-         pure functions of their spec and the sweep is bit-identical at \
-         any thread count\","
-    );
-    let _ = writeln!(json, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"id\": {},", c.id);
-        let _ = writeln!(json, "      \"topology\": \"{}\",", c.spec.topology);
-        let _ = writeln!(json, "      \"features\": {},", c.spec.features);
-        let _ = writeln!(json, "      \"variant\": {},", c.spec.variant);
-        let _ = writeln!(json, "      \"adversarial\": {},", c.spec.adversarial);
-        let _ = writeln!(json, "      \"strength\": {},", c.spec.strength);
-        let _ = writeln!(json, "      \"schedule\": \"{}\",", c.spec.schedule);
-        let _ = writeln!(json, "      \"label_shift\": {},", c.spec.label_shift);
-        let _ = writeln!(json, "      \"seed\": {},", c.spec.seed);
-        let _ = writeln!(json, "      \"easy\": {},", c.easy);
-        let _ = writeln!(json, "      \"methods\": {{");
-        for (j, s) in c.scores.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "        \"{}\": {{\"macro_f1\": {:.6}, \"fs_precision\": {}, \
-                 \"fs_recall\": {}, \"detected\": {}}}{}",
-                s.slug,
-                s.macro_f1,
-                opt_json(s.fs_precision),
-                opt_json(s.fs_recall),
-                s.detected.map_or("null".into(), |n| n.to_string()),
-                if j + 1 < c.scores.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(json, "      }}");
-        let _ = writeln!(json, "    }}{}", if i + 1 < cells.len() { "," } else { "" });
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"summary\": {{");
-    let _ = writeln!(json, "    \"num_cells\": {},", cells.len());
-    let _ = writeln!(json, "    \"easy_cells\": {},", easy.len());
-    let _ = writeln!(json, "    \"mean_easy_fs_recall\": {easy_recall:.6},");
-    let _ = writeln!(json, "    \"mean_easy_fs_precision\": {easy_precision:.6},");
-    let _ = writeln!(json, "    \"target_easy_fs_recall\": {TARGET_EASY_RECALL},");
-    for (j, &m) in METHODS.iter().enumerate() {
-        let f1s: Vec<f64> = cells.iter().map(|c| c.scores[j].macro_f1).collect();
-        let _ = writeln!(
-            json,
-            "    \"mean_macro_f1_{}\": {:.6},",
-            m.slug(),
-            mean(&f1s)
-        );
-    }
-    let _ = writeln!(json, "    \"determinism_checked_cells\": {checked},");
-    let _ = writeln!(
-        json,
-        "    \"determinism_bit_identical\": {}",
-        if verify { "true" } else { "null" }
-    );
-    let _ = writeln!(json, "  }}");
-    json.push_str("}\n");
+    let cell_json = |(id, (spec, cell)): (usize, &(&ScenarioSpec, &Vec<CellOutcome>))| {
+        let methods = cell.iter().fold(Json::object(), |methods, out| {
+            methods.field(
+                out.method.slug(),
+                Json::object()
+                    .field("macro_f1", out.macro_f1)
+                    .field("fs_precision", out.recovery.map(|r| r.precision))
+                    .field("fs_recall", out.recovery.map(|r| r.recall))
+                    .field("detected", out.detected_variant.as_ref().map(Vec::len)),
+            )
+        });
+        Json::object()
+            .field("id", id)
+            .field("topology", spec.topology.to_string())
+            .field("features", spec.features)
+            .field("variant", spec.variant)
+            .field("adversarial", spec.adversarial)
+            .field("strength", spec.strength)
+            .field("schedule", spec.schedule.to_string())
+            .field("label_shift", spec.label_shift)
+            .field("seed", spec.seed)
+            .field("easy", is_easy(spec))
+            .field("methods", methods)
+    };
+    let summary = METHODS
+        .iter()
+        .enumerate()
+        .fold(
+            Json::object()
+                .field("num_cells", cells.len())
+                .field("easy_cells", easy.len())
+                .field("mean_easy_fs_recall", easy_recall)
+                .field("mean_easy_fs_precision", easy_precision)
+                .field("target_easy_fs_recall", TARGET_EASY_RECALL),
+            |summary, (j, m)| {
+                let f1 = mean_of(&run.cells, |c| Some(c[j].macro_f1));
+                summary.field(&format!("mean_macro_f1_{}", m.slug()), f1)
+            },
+        )
+        .field("determinism_checked_cells", run.checked)
+        .field("determinism_bit_identical", run.identical);
+    Json::object()
+        .field("mode", mode)
+        .field("threads", run.threads)
+        .field(
+            "host_parallelism",
+            std::thread::available_parallelism().map_or(1, |n| n.get()),
+        )
+        .field("elapsed_s", run.elapsed_s)
+        .field(
+            "methods",
+            METHODS.iter().map(|m| m.slug()).collect::<Json>(),
+        )
+        .field(
+            "description",
+            "drift-scenario fuzzing sweep over the SCM generators: every cell \
+             compiles a declarative scenario spec with recorded ground-truth \
+             intervention targets, fits each method on the generated source + \
+             few shots, and scores end-to-end macro-F1 plus FS recall/precision \
+             against the known target set; cells are pure functions of their \
+             spec and the sweep is bit-identical at any thread count",
+        )
+        .field(
+            "cells",
+            cells.iter().enumerate().map(cell_json).collect::<Json>(),
+        )
+        .field("summary", summary)
+        .write_bench("BENCH_scenarios.json");
+    enforce(recovery_gate(&run, easy_recall));
+}
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scenarios.json");
-    std::fs::write(path, &json).expect("write BENCH_scenarios.json");
-    println!("wrote {path}");
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fsda_causal::score::score_target_recovery;
+
+    #[test]
+    fn recovery_gate_passes_a_healthy_sweep_and_fails_a_broken_one() {
+        let cell: Vec<CellOutcome> = METHODS
+            .iter()
+            .map(|&method| CellOutcome {
+                method,
+                macro_f1: 0.8,
+                detected_variant: Some(vec![1]),
+                recovery: Some(score_target_recovery(&[1], &[1])),
+            })
+            .collect();
+        let mut run = GridRun {
+            specs: vec![ScenarioSpec::default(); 18],
+            cells: vec![cell; 18],
+            threads: 1,
+            elapsed_s: 1.0,
+            checked: SPOT_CHECK,
+            identical: true,
+        };
+        assert_eq!(recovery_gate(&run, 0.95), Ok(()));
+        let low = "easy-cell FS recall 0.850 fell below 0.9";
+        assert_eq!(recovery_gate(&run, 0.85), Err(low.into()));
+        run.cells[3][1].macro_f1 = f64::NAN;
+        let bad = "cell 3 src_only: bad macro_f1 NaN";
+        assert_eq!(recovery_gate(&run, 0.95), Err(bad.into()));
+    }
 }

@@ -21,7 +21,9 @@
 //! Phases are interleaved and repeated, and per-phase p50/p99 are computed
 //! over the pooled latencies of all repetitions, so transient host noise
 //! (scheduler, thermal) lands in both pools alike and cancels in the
-//! gated ratio. Writes `BENCH_serving.json` at the repository root.
+//! gated ratio. Writes `BENCH_serving.json` at the repository root, then
+//! gates its own results (see [`swap_gate`]) and exits non-zero on a
+//! violation.
 //!
 //! Two workload sources:
 //!
@@ -35,6 +37,8 @@
 //!
 //! `cargo run -p fsda-bench --release --bin serving_baseline [-- --quick] [--scenario [SPEC]]`
 
+use fsda_bench::harness::{enforce, has_flag, Json};
+use fsda_bench::json_record;
 use fsda_core::adapter::AdapterConfig;
 use fsda_core::pipeline::{restore, DriftMitigator};
 use fsda_core::Method;
@@ -46,7 +50,6 @@ use fsda_linalg::{Matrix, SeededRng};
 use fsda_serve::server::{ServeConfig, TenantServer};
 use fsda_serve::TenantStats;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 const TENANTS: usize = 4;
@@ -73,13 +76,16 @@ struct PhaseSample {
     elapsed_s: f64,
 }
 
-/// Pooled aggregate over all of one phase's repetitions.
-struct PhaseSummary {
-    requests: usize,
-    req_per_sec: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-    mean_ms: f64,
+json_record! {
+    /// Pooled aggregate over all of one phase's repetitions.
+    struct PhaseSummary {
+        requests: usize,
+        swaps: usize,
+        req_per_sec: f64,
+        p50_ms: f64,
+        p99_ms: f64,
+        mean_ms: f64,
+    }
 }
 
 /// Nearest-rank percentile on an unsorted sample (copied, then sorted).
@@ -95,7 +101,7 @@ fn percentile_ms(latencies_s: &[f64], p: f64) -> f64 {
 /// noise (scheduler, thermal) lands in both pools alike and cancels in
 /// the ratio — per-rep p99 on a small host is just the third-worst
 /// latency of that rep, far too noisy to gate on.
-fn summarize(samples: &[PhaseSample]) -> PhaseSummary {
+fn summarize(samples: &[PhaseSample], swaps: usize) -> PhaseSummary {
     let pooled: Vec<f64> = samples
         .iter()
         .flat_map(|s| s.latencies_s.iter())
@@ -104,6 +110,7 @@ fn summarize(samples: &[PhaseSample]) -> PhaseSummary {
     let elapsed: f64 = samples.iter().map(|s| s.elapsed_s).sum();
     PhaseSummary {
         requests: pooled.len(),
+        swaps,
         req_per_sec: pooled.len() as f64 / elapsed.max(1e-12),
         p50_ms: percentile_ms(&pooled, 50.0),
         p99_ms: percentile_ms(&pooled, 99.0),
@@ -214,20 +221,23 @@ fn scenario_workload(path: Option<&str>) -> Workload {
     }
 }
 
-fn phase_json(json: &mut String, key: &str, s: &PhaseSummary, swaps: usize) {
-    let _ = writeln!(json, "  \"{key}\": {{");
-    let _ = writeln!(json, "    \"requests\": {},", s.requests);
-    let _ = writeln!(json, "    \"swaps\": {swaps},");
-    let _ = writeln!(json, "    \"req_per_sec\": {:.1},", s.req_per_sec);
-    let _ = writeln!(json, "    \"p50_ms\": {:.4},", s.p50_ms);
-    let _ = writeln!(json, "    \"p99_ms\": {:.4},", s.p99_ms);
-    let _ = writeln!(json, "    \"mean_ms\": {:.4}", s.mean_ms);
-    json.push_str("  },\n");
+/// The CI gate on the bench's results. Failure texts are the contract CI
+/// logs show.
+fn swap_gate(swaps: usize, p99_ratio: f64) -> Result<(), String> {
+    if swaps < 10 {
+        return Err("benchmark must exercise at least 10 hot-swaps".into());
+    }
+    if p99_ratio > TARGET_MAX_P99_RATIO {
+        return Err(format!(
+            "p99 under swaps regressed: ratio {p99_ratio:.3} exceeds {TARGET_MAX_P99_RATIO:?}"
+        ));
+    }
+    Ok(())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = has_flag("--quick");
     let scenario = args.iter().position(|a| a == "--scenario").map(|i| {
         args.get(i + 1)
             .filter(|v| !v.starts_with("--"))
@@ -356,8 +366,8 @@ fn main() {
     }
     server.shutdown();
 
-    let steady = summarize(&steady_samples);
-    let under_swap = summarize(&swap_samples);
+    let steady = summarize(&steady_samples, 0);
+    let under_swap = summarize(&swap_samples, total_swaps);
     let p99_ratio = under_swap.p99_ms / steady.p99_ms.max(1e-12);
     println!(
         "\nsteady p99 {:.4} ms, under-swap p99 {:.4} ms, ratio {:.3} \
@@ -365,45 +375,53 @@ fn main() {
         steady.p99_ms, under_swap.p99_ms, p99_ratio
     );
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"host_parallelism\": {cores},");
-    let _ = writeln!(json, "  \"mode\": \"{}\",", shape.mode);
-    let _ = writeln!(json, "  \"workload\": \"{}\",", workload.label);
-    let _ = writeln!(json, "  \"tenants\": {TENANTS},");
-    let _ = writeln!(json, "  \"shards\": {shards},");
-    let _ = writeln!(json, "  \"batch_rows\": {BATCH_ROWS},");
-    let _ = writeln!(json, "  \"reps\": {},", shape.reps);
-    let _ = writeln!(json, "  \"requests_per_rep\": {},", shape.requests_per_rep);
-    let _ = writeln!(json, "  \"swap_every\": {},", shape.swap_every);
-    let _ = writeln!(
-        json,
-        "  \"description\": \"multi-tenant TenantServer sustained serving: \
-         identical round-robin traffic measured with no control-plane \
-         activity (steady) and with a hot-swap before every swap_every-th \
-         request (under_swap); per-phase p50/p99 are pooled over \
-         interleaved repetitions so host noise cancels in the ratio\","
-    );
-    let _ = writeln!(
-        json,
-        "  \"note\": \"swap artifacts are restored from persisted bytes \
-         before the measured region; a measured swap is the atomic pointer \
-         publish, the epoch advance, and reclamation of drained retirees \
-         only\","
-    );
-    phase_json(&mut json, "steady", &steady, 0);
-    phase_json(&mut json, "under_swap", &under_swap, total_swaps);
-    let _ = writeln!(json, "  \"swap_gate\": {{");
-    let _ = writeln!(json, "    \"p99_ratio\": {p99_ratio:.4},");
-    let _ = writeln!(json, "    \"target_max_ratio\": {TARGET_MAX_P99_RATIO},");
-    let _ = writeln!(
-        json,
-        "    \"within_target\": {}",
-        p99_ratio <= TARGET_MAX_P99_RATIO
-    );
-    json.push_str("  }\n}\n");
+    Json::object()
+        .field("host_parallelism", cores)
+        .field("mode", shape.mode)
+        .field("workload", workload.label)
+        .field("tenants", TENANTS)
+        .field("shards", shards)
+        .field("batch_rows", BATCH_ROWS)
+        .field("reps", shape.reps)
+        .field("requests_per_rep", shape.requests_per_rep)
+        .field("swap_every", shape.swap_every)
+        .field(
+            "description",
+            "multi-tenant TenantServer sustained serving: identical round-robin \
+             traffic measured with no control-plane activity (steady) and with a \
+             hot-swap before every swap_every-th request (under_swap); per-phase \
+             p50/p99 are pooled over interleaved repetitions so host noise \
+             cancels in the ratio",
+        )
+        .field(
+            "note",
+            "swap artifacts are restored from persisted bytes before the \
+             measured region; a measured swap is the atomic pointer publish, the \
+             epoch advance, and reclamation of drained retirees only",
+        )
+        .field("steady", &steady)
+        .field("under_swap", &under_swap)
+        .field(
+            "swap_gate",
+            Json::object()
+                .field("p99_ratio", p99_ratio)
+                .field("target_max_ratio", TARGET_MAX_P99_RATIO)
+                .field("within_target", p99_ratio <= TARGET_MAX_P99_RATIO),
+        )
+        .write_bench("BENCH_serving.json");
+    enforce(swap_gate(under_swap.swaps, p99_ratio));
+}
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
-    std::fs::write(path, &json).expect("write BENCH_serving.json");
-    println!("wrote {path}");
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn swap_gate_passes_within_target_and_fails_beyond_it() {
+        assert_eq!(swap_gate(16, 1.05), Ok(()));
+        let slow = "p99 under swaps regressed: ratio 1.200 exceeds 1.1";
+        assert_eq!(swap_gate(16, 1.2), Err(slow.into()));
+        let few = "benchmark must exercise at least 10 hot-swaps";
+        assert_eq!(swap_gate(9, 1.0), Err(few.into()));
+    }
 }

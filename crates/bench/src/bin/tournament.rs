@@ -17,22 +17,18 @@
 //!
 //! Cells derive their seeds from the grid position and run
 //! single-threaded inside, so the tournament is bit-identical at any
-//! thread count; `--verify-determinism` re-runs a prefix sequentially and
-//! asserts exact equality.
+//! thread count; every run re-runs a prefix sequentially and checks exact
+//! equality. After writing the JSON the binary gates its own results (see
+//! [`rank_gate`]) and exits non-zero on a violation.
 //!
 //! `cargo run -p fsda-bench --release --bin tournament [-- --quick]
-//!  [--threads N] [--verify-determinism]`
+//!  [--threads N]`
 
+use fsda_bench::harness::{enforce, has_flag, mean_of, run_grid, Json};
 use fsda_core::adapter::AdapterConfig;
-use fsda_core::sweep::run_scenario_cell;
 use fsda_core::Method;
-use fsda_data::fewshot::few_shot_subset;
 use fsda_data::scenario::{ScenarioSpec, Schedule, Topology};
-use fsda_linalg::par::{par_map, resolve_threads};
-use fsda_linalg::SeededRng;
 use fsda_models::ClassifierKind;
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// CI gate: FsGan's dense rank by mean macro-F1 must stay within this.
 const TARGET_FSGAN_RANK: usize = 3;
@@ -44,31 +40,14 @@ const TARGET_FSGAN_RANK: usize = 3;
 /// stress-test the answer.
 const SHOTS: usize = 5;
 
-/// One grid position: the scenario spec plus whether the cell is inside
-/// the paper's operating envelope and therefore counts toward the
-/// ranking. Out-of-model cells (feature→feature drift propagation) are
-/// still played and recorded as diagnostics.
-#[derive(Clone, PartialEq)]
-struct GridCell {
-    spec: ScenarioSpec,
-    in_model: bool,
-}
+/// Leading cells the determinism spot-check re-runs sequentially.
+const SPOT_CHECK: usize = 2;
 
-/// One completed tournament cell: macro-F1 per method, in
-/// [`Method::ALL`] order.
-#[derive(Clone, PartialEq)]
-struct CellRecord {
-    id: usize,
-    cell: GridCell,
-    f1: Vec<f64>,
-}
-
-/// Splitmix64 finalizer for per-cell seed derivation.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// One method's place on the leaderboard.
+struct Standing {
+    slug: &'static str,
+    mean_macro_f1: f64,
+    rank: usize,
 }
 
 /// The tournament grid: topology × strength tier × drift schedule.
@@ -90,8 +69,9 @@ fn mix(mut z: u64) -> u64 {
 ///
 /// Quick mode covers every axis with a latin-square of the ranked grid
 /// plus one diagnostic per out-of-model topology; full mode is the
-/// cartesian product.
-fn build_grid(quick: bool) -> Vec<GridCell> {
+/// cartesian product. Returns the specs, ranked cells first, and how many
+/// are ranked.
+fn build_grid(quick: bool) -> (Vec<ScenarioSpec>, usize) {
     let ranked = [Topology::Star, Topology::Layered];
     let strengths = [2.4, 1.6];
     let schedules = [Schedule::Abrupt, Schedule::Gradual { windows: 4 }];
@@ -139,65 +119,11 @@ fn build_grid(quick: bool) -> Vec<GridCell> {
             );
         }
     }
-    grid.into_iter()
-        .enumerate()
-        .map(|(i, spec)| GridCell {
-            spec: spec
-                .with_shots(SHOTS)
-                .with_seed(mix(0x70AA_1EB1 + i as u64)),
-            in_model: i < ranked_len,
-        })
-        .collect()
-}
-
-/// Runs one cell: generate the scenario once, then fit and score every
-/// registry method on it. Single-threaded inside — parallelism lives at
-/// the cell fan-out.
-fn run_cell(id: usize, cell: &GridCell) -> CellRecord {
-    let spec = &cell.spec;
-    let compiled = spec.compile().expect("grid specs are valid");
-    let data = compiled.generate(Some(1)).expect("scenario generation");
-    let mut shot_rng = SeededRng::new(mix(spec.seed ^ 0x5807));
-    let shots =
-        few_shot_subset(&data.target_pool, spec.shots, &mut shot_rng).expect("few-shot draw");
-    // The paper's network-management model is a neural classifier; the
-    // MLP is also what the model-specific baselines embed against, so
-    // every method competes on the model family the claim is about. The
-    // default (paper-scale) budget is deliberate: the tournament ranks
-    // methods, and rankings under a starved budget measure convergence
-    // speed, not the methods themselves.
-    let mut config = AdapterConfig::default().with_classifier(ClassifierKind::Mlp);
-    config.fs.parallel = false;
-    config.budget.threads = 1;
-    let f1 = Method::ALL
-        .iter()
-        .map(|&method| {
-            run_scenario_cell(
-                method,
-                &data.source_train,
-                &shots,
-                &data.target_test,
-                &data.ground_truth_variant,
-                &config,
-                mix(spec.seed ^ method as u64),
-            )
-            .expect("cell run")
-            .macro_f1
-        })
+    let grid = grid
+        .into_iter()
+        .map(|spec| spec.with_shots(SHOTS))
         .collect();
-    CellRecord {
-        id,
-        cell: cell.clone(),
-        f1,
-    }
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        f64::NAN
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
+    (grid, ranked_len)
 }
 
 /// Dense ranks over mean macro-F1, descending: the best method is rank 1
@@ -218,150 +144,191 @@ fn dense_ranks(means: &[f64]) -> Vec<usize> {
     ranks
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let verify = args.iter().any(|a| a == "--verify-determinism");
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok());
-    let threads = resolve_threads(threads);
-    let grid = build_grid(quick);
-    let mode = if quick { "quick" } else { "full" };
-    let ranked_count = grid.iter().filter(|c| c.in_model).count();
-    println!(
-        "tournament ({mode}): {} methods x {} cells ({} ranked + {} diagnostic) on {threads} thread(s)\n",
-        Method::ALL.len(),
-        grid.len(),
-        ranked_count,
-        grid.len() - ranked_count,
-    );
-
-    let start = Instant::now();
-    let cells: Vec<CellRecord> = par_map(threads, &grid, run_cell);
-    let elapsed = start.elapsed().as_secs_f64();
-    println!(
-        "played {} cells in {elapsed:.1}s ({:.2}s/cell)\n",
-        cells.len(),
-        elapsed / cells.len().max(1) as f64
-    );
-
-    let checked = if verify {
-        let n = cells.len().min(2);
-        let again: Vec<CellRecord> = par_map(1, &grid[..n], run_cell);
-        for (a, b) in cells[..n].iter().zip(&again) {
-            assert!(
-                a == b,
-                "cell {} differs between {threads}-thread and sequential runs",
-                a.id
-            );
+/// The CI gate on the tournament's results. Failure texts are the
+/// contract CI logs show.
+fn rank_gate(standings: &[Standing], ranked_cells: usize, identical: bool) -> Result<(), String> {
+    if standings.len() < 18 {
+        return Err(format!(
+            "registry shrank: only {} methods competed",
+            standings.len()
+        ));
+    }
+    let rank_of = |slug: &str| standings.iter().find(|s| s.slug == slug).map(|s| s.rank);
+    for slug in ["fada", "fmaa", "fs_gan", "fs", "src_only"] {
+        if rank_of(slug).is_none() {
+            return Err(format!("method {slug} missing from the tournament"));
         }
-        println!("determinism spot-check: {n} cells bit-identical at 1 vs {threads} thread(s)\n");
-        n
-    } else {
-        0
-    };
+    }
+    let mut by_rank: Vec<&Standing> = standings.iter().collect();
+    by_rank.sort_by_key(|s| s.rank);
+    let ranks: Vec<usize> = by_rank.iter().map(|s| s.rank).collect();
+    if ranks[0] != 1 || ranks.windows(2).any(|w| w[1] - w[0] > 1) {
+        return Err(format!("ranks are not dense from 1: {ranks:?}"));
+    }
+    for w in by_rank.windows(2) {
+        let (a, b) = (w[0].mean_macro_f1, w[1].mean_macro_f1);
+        if !(a.is_finite() && b.is_finite()) {
+            return Err("non-finite mean macro-F1".into());
+        }
+        if a < b {
+            return Err("ranks disagree with the means they claim to order".into());
+        }
+    }
+    if !identical {
+        return Err("parallel tournament diverged from sequential re-run".into());
+    }
+    if ranked_cells < 4 {
+        return Err(format!("ranked grid shrank to {ranked_cells} cells"));
+    }
+    let rank = rank_of("fs_gan").unwrap_or(usize::MAX);
+    if rank > TARGET_FSGAN_RANK {
+        return Err(format!(
+            "fs_gan rank {rank} fell off the podium (gate <= {TARGET_FSGAN_RANK})"
+        ));
+    }
+    Ok(())
+}
+
+fn main() {
+    let quick = has_flag("--quick");
+    let (grid, ranked_count) = build_grid(quick);
+    let mode = if quick { "quick" } else { "full" };
+    println!(
+        "tournament ({mode}): {ranked_count} ranked + {} diagnostic cells",
+        grid.len() - ranked_count
+    );
+    // The paper's network-management model is a neural classifier; the
+    // MLP is also what the model-specific baselines embed against, so
+    // every method competes on the model family the claim is about. The
+    // default (paper-scale) budget is deliberate: the tournament ranks
+    // methods, and rankings under a starved budget measure convergence
+    // speed, not the methods themselves.
+    let config = AdapterConfig::default().with_classifier(ClassifierKind::Mlp);
+    let run = run_grid(grid, 0x70AA_1EB1, &Method::ALL, &config, SPOT_CHECK);
 
     // Only in-model cells rank; diagnostics are recorded but never
     // scored (see build_grid).
-    let ranked_cells: Vec<&CellRecord> = cells.iter().filter(|c| c.cell.in_model).collect();
+    let ranked_cells = &run.cells[..ranked_count];
     let means: Vec<f64> = (0..Method::ALL.len())
-        .map(|j| mean(&ranked_cells.iter().map(|c| c.f1[j]).collect::<Vec<f64>>()))
+        .map(|j| mean_of(ranked_cells, |c| Some(c[j].macro_f1)))
         .collect();
     let ranks = dense_ranks(&means);
+    let standings: Vec<Standing> = Method::ALL
+        .iter()
+        .enumerate()
+        .map(|(j, m)| Standing {
+            slug: m.slug(),
+            mean_macro_f1: means[j],
+            rank: ranks[j],
+        })
+        .collect();
 
     // Leaderboard, best first.
-    let mut order: Vec<usize> = (0..Method::ALL.len()).collect();
-    order.sort_by(|&a, &b| means[b].total_cmp(&means[a]));
+    let mut order: Vec<&Standing> = standings.iter().collect();
+    order.sort_by(|a, b| b.mean_macro_f1.total_cmp(&a.mean_macro_f1));
     println!("{:>4} {:<12} {:>12}", "rank", "method", "mean_f1");
-    for &j in &order {
-        println!(
-            "{:>4} {:<12} {:>12.3}",
-            ranks[j],
-            Method::ALL[j].slug(),
-            means[j]
-        );
+    for s in &order {
+        println!("{:>4} {:<12} {:>12.3}", s.rank, s.slug, s.mean_macro_f1);
     }
-    let fsgan = Method::ALL
+    let fsgan_rank = standings
         .iter()
-        .position(|&m| m == Method::FsGan)
-        .expect("FsGan is registered");
+        .find(|s| s.slug == Method::FsGan.slug())
+        .expect("FsGan is registered")
+        .rank;
     println!(
-        "\nfsgan rank {} of {} (gate: <= {TARGET_FSGAN_RANK})",
-        ranks[fsgan],
+        "\nfsgan rank {fsgan_rank} of {} (gate: <= {TARGET_FSGAN_RANK})",
         Method::ALL.len()
     );
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(json, "  \"threads\": {threads},");
-    let _ = writeln!(json, "  \"elapsed_s\": {elapsed:.2},");
-    let _ = writeln!(
-        json,
-        "  \"description\": \"cross-method tournament: all registry \
-         methods fit and scored on every cell of a topology x strength x \
-         schedule scenario grid; per-method mean macro-F1 with dense \
-         ranks (1 = best, ties share a rank) over the in-model cells; \
-         cells with in_model=false leave the paper's operating envelope \
-         (drift propagating through feature-to-feature edges) and are \
-         recorded as diagnostics without ranking anything; cells are \
-         pure functions of their spec so the tournament is bit-identical \
-         at any thread count\","
-    );
-    let _ = writeln!(json, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"id\": {},", c.id);
-        let _ = writeln!(json, "      \"topology\": \"{}\",", c.cell.spec.topology);
-        let _ = writeln!(json, "      \"strength\": {},", c.cell.spec.strength);
-        let _ = writeln!(json, "      \"schedule\": \"{}\",", c.cell.spec.schedule);
-        let _ = writeln!(json, "      \"seed\": {},", c.cell.spec.seed);
-        let _ = writeln!(json, "      \"in_model\": {},", c.cell.in_model);
-        let _ = writeln!(json, "      \"macro_f1\": {{");
-        for (j, m) in Method::ALL.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "        \"{}\": {:.6}{}",
-                m.slug(),
-                c.f1[j],
-                if j + 1 < Method::ALL.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(json, "      }}");
-        let _ = writeln!(json, "    }}{}", if i + 1 < cells.len() { "," } else { "" });
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"methods\": {{");
-    for (j, m) in Method::ALL.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    \"{}\": {{\"mean_macro_f1\": {:.6}, \"rank\": {}}}{}",
-            m.slug(),
-            means[j],
-            ranks[j],
-            if j + 1 < Method::ALL.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"summary\": {{");
-    let _ = writeln!(json, "    \"num_methods\": {},", Method::ALL.len());
-    let _ = writeln!(json, "    \"num_cells\": {},", cells.len());
-    let _ = writeln!(json, "    \"num_ranked_cells\": {},", ranked_cells.len());
-    let _ = writeln!(json, "    \"fsgan_rank\": {},", ranks[fsgan]);
-    let _ = writeln!(json, "    \"target_fsgan_rank\": {TARGET_FSGAN_RANK},");
-    let _ = writeln!(json, "    \"determinism_checked_cells\": {checked},");
-    let _ = writeln!(
-        json,
-        "    \"determinism_bit_identical\": {}",
-        if verify { "true" } else { "null" }
-    );
-    let _ = writeln!(json, "  }}");
-    json.push_str("}\n");
+    let cells = run
+        .specs
+        .iter()
+        .zip(&run.cells)
+        .enumerate()
+        .map(|(id, (spec, cell))| {
+            Json::object()
+                .field("id", id)
+                .field("topology", spec.topology.to_string())
+                .field("strength", spec.strength)
+                .field("schedule", spec.schedule.to_string())
+                .field("seed", spec.seed)
+                .field("in_model", id < ranked_count)
+                .field(
+                    "macro_f1",
+                    cell.iter().fold(Json::object(), |o, out| {
+                        o.field(out.method.slug(), out.macro_f1)
+                    }),
+                )
+        });
+    let methods = standings.iter().fold(Json::object(), |o, s| {
+        o.field(
+            s.slug,
+            Json::object()
+                .field("mean_macro_f1", s.mean_macro_f1)
+                .field("rank", s.rank),
+        )
+    });
+    Json::object()
+        .field("mode", mode)
+        .field("threads", run.threads)
+        .field("elapsed_s", run.elapsed_s)
+        .field(
+            "description",
+            "cross-method tournament: all registry methods fit and scored on \
+             every cell of a topology x strength x schedule scenario grid; \
+             per-method mean macro-F1 with dense ranks (1 = best, ties share a \
+             rank) over the in-model cells; cells with in_model=false leave the \
+             paper's operating envelope (drift propagating through \
+             feature-to-feature edges) and are recorded as diagnostics without \
+             ranking anything; cells are pure functions of their spec so the \
+             tournament is bit-identical at any thread count",
+        )
+        .field("cells", cells.collect::<Json>())
+        .field("methods", methods)
+        .field(
+            "summary",
+            Json::object()
+                .field("num_methods", Method::ALL.len())
+                .field("num_cells", run.cells.len())
+                .field("num_ranked_cells", ranked_count)
+                .field("fsgan_rank", fsgan_rank)
+                .field("target_fsgan_rank", TARGET_FSGAN_RANK)
+                .field("determinism_checked_cells", run.checked)
+                .field("determinism_bit_identical", run.identical),
+        )
+        .write_bench("BENCH_tournament.json");
+    enforce(rank_gate(&standings, ranked_count, run.identical));
+}
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tournament.json");
-    std::fs::write(path, &json).expect("write BENCH_tournament.json");
-    println!("wrote {path}");
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn dense_ranks_share_ties_without_gaps() {
+        assert_eq!(dense_ranks(&[0.5, 0.9, 0.5, 0.7, 0.9]), vec![3, 1, 3, 2, 1]);
+    }
+
+    #[test]
+    fn rank_gate_passes_a_podium_finish_and_fails_fourth_place() {
+        // Every registry method, best first, fs_gan placed at `rank`.
+        let standings = |rank: usize| -> Vec<Standing> {
+            let mut slugs: Vec<&'static str> = Method::ALL.iter().map(|m| m.slug()).collect();
+            slugs.retain(|&s| s != "fs_gan");
+            slugs.insert(rank - 1, "fs_gan");
+            (1..)
+                .zip(slugs)
+                .map(|(rank, slug)| Standing {
+                    slug,
+                    mean_macro_f1: 1.0 / rank as f64,
+                    rank,
+                })
+                .collect()
+        };
+        assert_eq!(rank_gate(&standings(3), 4, true), Ok(()));
+        let fourth = "fs_gan rank 4 fell off the podium (gate <= 3)";
+        assert_eq!(rank_gate(&standings(4), 4, true), Err(fourth.into()));
+        let diverged = "parallel tournament diverged from sequential re-run";
+        assert_eq!(rank_gate(&standings(1), 4, false), Err(diverged.into()));
+    }
 }

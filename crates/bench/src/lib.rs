@@ -8,6 +8,8 @@
 //! for paper-scale datasets and budgets, and `FSDA_REPEATS=n` to override
 //! the repeat count (the paper uses 20).
 
+pub mod harness;
+
 use fsda_core::adapter::Budget;
 use fsda_core::experiment::{ExperimentConfig, Scenario};
 use fsda_data::synth5gc::Synth5gc;
