@@ -14,7 +14,7 @@ use fsda_bench::{scenario_5gc, BenchScale};
 use fsda_core::adapter::build_classifier;
 use fsda_core::fs::{FeatureSeparation, FsConfig};
 use fsda_gan::cond_gan::{CondGan, CondGanConfig};
-use fsda_gan::Reconstructor;
+use fsda_gan::{InferPrecision, Reconstructor};
 use fsda_linalg::{Matrix, SeededRng};
 use fsda_models::classifier::argmax_rows;
 use fsda_models::metrics::macro_f1;
@@ -66,8 +66,11 @@ fn main() {
         gan.fit(&inv_src, &var_src, &scenario.source.one_hot_labels())
             .expect("gan fit failed");
 
+        // One noise seed per test row, as the serving path draws them.
         let predict_with_seed = |seed: u64| -> (Vec<usize>, Matrix) {
-            let var_hat = gan.reconstruct(&inv_test, seed);
+            let mut seeds = SeededRng::new(seed);
+            let row_seeds: Vec<u64> = (0..inv_test.rows()).map(|_| seeds.next_seed()).collect();
+            let var_hat = gan.reconstruct(&inv_test, &row_seeds, InferPrecision::F64Exact);
             let full = separation.reassemble(&inv_test, &var_hat);
             let probs = classifier.predict_proba(&full);
             (argmax_rows(&probs), probs)

@@ -15,7 +15,7 @@ use fsda_core::fs::{FeatureSeparation, FsConfig};
 use fsda_data::fewshot::few_shot_subset;
 use fsda_data::synth5gc::Synth5gc;
 use fsda_gan::cond_gan::{CondGan, CondGanConfig};
-use fsda_gan::Reconstructor;
+use fsda_gan::{InferPrecision, Reconstructor};
 use fsda_linalg::{Matrix, SeededRng};
 use fsda_models::ClassifierKind;
 use std::hint::black_box;
@@ -100,7 +100,7 @@ fn bench_gan() {
     gan.fit(&x_inv, &x_var, &y).unwrap();
     let single = x_inv.select_rows(&[0]);
     bench("gan/generator_single_sample", 10, 1000, || {
-        black_box(gan.reconstruct(&single, 9));
+        black_box(gan.reconstruct(&single, &[9], InferPrecision::F64Exact));
     });
 }
 

@@ -233,7 +233,7 @@ fn warm_start_gate(workloads: usize, control: &ControlRun, max_ratio: f64) -> Re
     if control.warm_swaps < 1 {
         return Err("control loop never exercised the warm path".into());
     }
-    if max_ratio > TARGET_MAX_RATIO {
+    if !(..=TARGET_MAX_RATIO).contains(&max_ratio) {
         return Err(format!(
             "warm re-separation regressed: ratio {max_ratio:.3} exceeds {TARGET_MAX_RATIO:?}"
         ));
@@ -327,6 +327,8 @@ mod tests {
         assert_eq!(warm_start_gate(2, &run, 0.05), Ok(()));
         let slow = "warm re-separation regressed: ratio 0.510 exceeds 0.5";
         assert_eq!(warm_start_gate(2, &run, 0.51), Err(slow.into()));
+        let nan = "warm re-separation regressed: ratio NaN exceeds 0.5";
+        assert_eq!(warm_start_gate(2, &run, f64::NAN), Err(nan.into()));
         let dropped = "control loop dropped cycles: 2/3 swapped";
         let run = ControlRun { cycles: 3, ..run };
         assert_eq!(warm_start_gate(2, &run, 0.05), Err(dropped.into()));

@@ -4,9 +4,8 @@
 //!
 //! Runs the PC causal search over a grid of (features × samples × threads)
 //! on block-correlated synthetic data, then times the FS+GAN adapter's
-//! `reconstruct_batch` against the per-sample reference loop over a
-//! (batch × threads) grid, verifying every parallel run bit-identical to
-//! its reference. Writes both grids to `BENCH_runtime.json` at the
+//! `reconstruct_batch_with` over a (batch × threads) grid, verifying every
+//! run bit-identical to the single-threaded output. Writes both grids to `BENCH_runtime.json` at the
 //! repository root, then gates its own results (see [`kernel_gate`] and
 //! [`noop_telemetry_gate`]) and exits non-zero on a violation.
 //!
@@ -105,11 +104,10 @@ json_record! {
         features: usize,
         threads: usize,
         host_parallelism: usize,
-        scalar_elapsed_s: f64,
         batch_elapsed_s: f64,
         rows_per_sec: f64,
-        speedup_vs_scalar: f64,
-        identical_to_scalar: bool,
+        speedup_vs_1: f64,
+        identical_to_sequential: bool,
     }
 
     struct GuardCell {
@@ -149,15 +147,12 @@ json_record! {
         in_dim: usize,
         out_dim: usize,
         naive_elapsed_s: f64,
-        ikj_elapsed_s: f64,
         f64_elapsed_s: f64,
         f32_elapsed_s: f64,
         naive_rows_per_sec: f64,
-        ikj_rows_per_sec: f64,
         f64_rows_per_sec: f64,
         f32_rows_per_sec: f64,
         f64_speedup_vs_naive: f64,
-        f64_speedup_vs_ikj: f64,
         f32_speedup_vs_naive: f64,
         f64_identical_to_naive: bool,
         f32_max_abs_err: f64,
@@ -271,12 +266,14 @@ fn serving_batch(features: &Matrix, rows: usize) -> Matrix {
     features.select_rows(&idx)
 }
 
-/// Times the guarded serving entry point (`try_reconstruct_batch`, reject
-/// policy) against the unguarded `reconstruct_batch` on clean batches: the
+/// Times the guarded serving entry point (`try_reconstruct_batch_with`,
+/// reject policy) against the unguarded `reconstruct_batch_with` on clean
+/// batches: the
 /// input scan is the only extra work, and on the clean fast path it must
 /// stay under a few percent.
 fn bench_guard_overhead(adapter: &FsGanAdapter, features: &Matrix) -> Vec<GuardCell> {
     let guard = GuardConfig::default();
+    let exact = InferPrecision::F64Exact;
     println!("\nguarded vs unguarded batch reconstruction (clean 5GC batches, reject policy)");
     println!(
         "{:>7} {:>9} {:>14} {:>14} {:>10}",
@@ -287,16 +284,16 @@ fn bench_guard_overhead(adapter: &FsGanAdapter, features: &Matrix) -> Vec<GuardC
         let x = serving_batch(features, rows);
         // Warm-up, then best-of-9: the scan is cheap enough that scheduler
         // noise on a single run would dominate the comparison.
-        let _ = adapter.reconstruct_batch(&x, Some(1));
+        let _ = adapter.reconstruct_batch_with(&x, Some(1), exact);
         let mut unguarded = f64::INFINITY;
         let mut guarded = f64::INFINITY;
         let mut identical = true;
         for _ in 0..9 {
-            let (t, plain) = per_call(1, || adapter.reconstruct_batch(&x, Some(1)));
+            let (t, plain) = per_call(1, || adapter.reconstruct_batch_with(&x, Some(1), exact));
             unguarded = unguarded.min(t);
             let (t, checked) = per_call(1, || {
                 adapter
-                    .try_reconstruct_batch(&x, Some(1), &guard)
+                    .try_reconstruct_batch_with(&x, Some(1), &guard, exact)
                     .expect("clean batch must pass the guard")
             });
             guarded = guarded.min(t);
@@ -489,14 +486,12 @@ fn bench_telemetry_overhead(adapter: &FsGanAdapter, features: &Matrix) -> Vec<Te
     cells
 }
 
-/// Times the compiled [`InferPlan`] forward pass four ways on a
+/// Times the compiled [`InferPlan`] forward pass three ways on a
 /// representative reconstruction-sized network (Dense–BN–ReLU ×2 with a
 /// tanh head): the textbook naive executor (`matmul_textbook`'s `ijk`
 /// dot-product loop with per-call weight materialization and separate
-/// bias/activation passes — the classic GEMM baseline), the legacy `ikj`
-/// executor (`matmul_naive`, the workspace's partially-optimized
-/// pre-kernel `matmul`, reported for transparency), the blocked `f64`
-/// kernel path (verified bit-identical to both references), and the
+/// bias/activation passes — the classic GEMM baseline), the blocked `f64`
+/// kernel path (verified bit-identical to the naive executor), and the
 /// blocked `f32` path (divergence recorded, not gated here — see the
 /// `f32_divergence` section for the end-to-end envelope).
 fn bench_kernels() -> Vec<KernelCell> {
@@ -520,13 +515,13 @@ fn bench_kernels() -> Vec<KernelCell> {
     let plan = InferPlan::compile(&net).expect("plan compiles");
 
     println!(
-        "\ncompiled inference plan: textbook naive vs legacy ikj vs blocked f64 vs \
-         blocked f32 (kernel path: {})",
+        "\ncompiled inference plan: textbook naive vs blocked f64 vs blocked f32 \
+         (kernel path: {})",
         kernel_path().label()
     );
     println!(
-        "{:>7} {:>10} {:>12} {:>12} {:>12} {:>12} {:>9} {:>9}",
-        "rows", "dims", "naive (s)", "ikj (s)", "f64 (s)", "f32 (s)", "f64 spd", "f32 spd"
+        "{:>7} {:>10} {:>12} {:>12} {:>12} {:>9} {:>9}",
+        "rows", "dims", "naive (s)", "f64 (s)", "f32 (s)", "f64 spd", "f32 spd"
     );
 
     let mut cells = Vec::new();
@@ -535,19 +530,15 @@ fn bench_kernels() -> Vec<KernelCell> {
             ((r * 31 + c * 7) % 17) as f64 / 8.5 - 1.0
         });
         // Amortize small batches and take the best of 9 samples per path,
-        // interleaved so scheduler drift hits all four alike.
+        // interleaved so scheduler drift hits all three alike.
         let inner = (1024 / rows).max(1);
         let _ = plan.infer(&x, InferPrecision::F64Exact);
-        let (mut naive, mut ikj, mut f64_t, mut f32_t) =
-            (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        let (mut naive, mut f64_t, mut f32_t) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
         let mut identical = true;
         let mut max_abs_err = 0.0f64;
         for _ in 0..9 {
             let (t, a) = per_call(inner, || plan.infer_textbook(&x));
             naive = naive.min(t);
-
-            let (t, r) = per_call(inner, || plan.infer_reference(&x));
-            ikj = ikj.min(t);
 
             let (t, b) = per_call(inner, || plan.infer(&x, InferPrecision::F64Exact));
             f64_t = f64_t.min(t);
@@ -555,7 +546,7 @@ fn bench_kernels() -> Vec<KernelCell> {
             let (t, c) = per_call(inner, || plan.infer(&x, InferPrecision::F32Fast));
             f32_t = f32_t.min(t);
 
-            identical &= a == b && r == b;
+            identical &= a == b;
             for r in 0..b.rows() {
                 for (x64, x32) in b.row(r).iter().zip(c.row(r)) {
                     max_abs_err = max_abs_err.max((x64 - x32).abs());
@@ -571,25 +562,21 @@ fn bench_kernels() -> Vec<KernelCell> {
             in_dim,
             out_dim,
             naive_elapsed_s: naive,
-            ikj_elapsed_s: ikj,
             f64_elapsed_s: f64_t,
             f32_elapsed_s: f32_t,
             naive_rows_per_sec: rows as f64 / naive.max(1e-12),
-            ikj_rows_per_sec: rows as f64 / ikj.max(1e-12),
             f64_rows_per_sec: rows as f64 / f64_t.max(1e-12),
             f32_rows_per_sec: rows as f64 / f32_t.max(1e-12),
             f64_speedup_vs_naive: naive / f64_t.max(1e-12),
-            f64_speedup_vs_ikj: ikj / f64_t.max(1e-12),
             f32_speedup_vs_naive: naive / f32_t.max(1e-12),
             f64_identical_to_naive: identical,
             f32_max_abs_err: max_abs_err,
         };
         println!(
-            "{:>7} {:>10} {:>12.6} {:>12.6} {:>12.6} {:>12.6} {:>8.2}x {:>8.2}x",
+            "{:>7} {:>10} {:>12.6} {:>12.6} {:>12.6} {:>8.2}x {:>8.2}x",
             cell.rows,
             format!("{in_dim}-{hidden}-{out_dim}"),
             cell.naive_elapsed_s,
-            cell.ikj_elapsed_s,
             cell.f64_elapsed_s,
             cell.f32_elapsed_s,
             cell.f64_speedup_vs_naive,
@@ -686,41 +673,46 @@ fn bench_reconstruction(cores: usize) -> ReconBenches {
         );
     }
     println!(
-        "{:>7} {:>9} {:>8} {:>12} {:>12} {:>12} {:>12}",
-        "rows", "features", "threads", "scalar (s)", "batch (s)", "rows/sec", "speedup"
+        "{:>7} {:>9} {:>8} {:>12} {:>12} {:>12}",
+        "rows", "features", "threads", "batch (s)", "rows/sec", "speedup"
     );
 
+    let exact = InferPrecision::F64Exact;
     let mut cells: Vec<ReconCell> = Vec::new();
     for &rows in &[64usize, 256, 1024] {
         let x = serving_batch(bundle.target_test.features(), rows);
-        let (scalar_elapsed, scalar) = per_call(1, || adapter.reconstruct_scalar(&x));
+        // Untimed warm-up and the reference every thread count must match.
+        let sequential = adapter.reconstruct_batch_with(&x, Some(1), exact);
+        let mut sequential_elapsed = f64::NAN;
         for &t in &thread_grid {
-            let (batch_elapsed, batch) = per_call(1, || adapter.reconstruct_batch(&x, Some(t)));
-            let identical = batch == scalar;
+            let (batch_elapsed, batch) =
+                per_call(1, || adapter.reconstruct_batch_with(&x, Some(t), exact));
+            if t == 1 {
+                sequential_elapsed = batch_elapsed;
+            }
+            let identical = batch == sequential;
             assert!(
                 identical,
-                "reconstruct_batch diverged from the scalar loop at rows={rows}, threads={t}"
+                "reconstruct_batch_with diverged from threads=1 at rows={rows}, threads={t}"
             );
             let cell = ReconCell {
                 rows,
                 features: x.cols(),
                 threads: t,
                 host_parallelism: cores,
-                scalar_elapsed_s: scalar_elapsed,
                 batch_elapsed_s: batch_elapsed,
                 rows_per_sec: rows as f64 / batch_elapsed.max(1e-12),
-                speedup_vs_scalar: scalar_elapsed / batch_elapsed.max(1e-12),
-                identical_to_scalar: identical,
+                speedup_vs_1: sequential_elapsed / batch_elapsed.max(1e-12),
+                identical_to_sequential: identical,
             };
             println!(
-                "{:>7} {:>9} {:>8} {:>12.4} {:>12.4} {:>12.0} {:>11.2}x",
+                "{:>7} {:>9} {:>8} {:>12.4} {:>12.0} {:>11.2}x",
                 cell.rows,
                 cell.features,
                 cell.threads,
-                cell.scalar_elapsed_s,
                 cell.batch_elapsed_s,
                 cell.rows_per_sec,
-                cell.speedup_vs_scalar
+                cell.speedup_vs_1
             );
             cells.push(cell);
         }
@@ -756,12 +748,12 @@ fn kernel_gate(cells: &[KernelCell], divergence: &[DivergenceCell]) -> Result<()
     if !cells.iter().all(|c| c.f64_identical_to_naive) {
         return Err("blocked f64 kernels diverged from the naive reference".into());
     }
-    if f64_med < F64_TARGET_SPEEDUP {
+    if !(F64_TARGET_SPEEDUP..).contains(&f64_med) {
         return Err(format!(
             "blocked f64 speedup {f64_med:.2}x fell below {F64_TARGET_SPEEDUP:?}x"
         ));
     }
-    if f32_med < F32_TARGET_SPEEDUP {
+    if !(F32_TARGET_SPEEDUP..).contains(&f32_med) {
         return Err(format!(
             "blocked f32 speedup {f32_med:.2}x fell below {F32_TARGET_SPEEDUP:?}x"
         ));
@@ -788,7 +780,7 @@ fn noop_telemetry_gate(cells: &[TelemetryCell]) -> Result<(), String> {
     if !cells.iter().all(|c| c.identical) {
         return Err("telemetry changed predictions".into());
     }
-    if median > NOOP_TARGET_OVERHEAD_PCT {
+    if !(..=NOOP_TARGET_OVERHEAD_PCT).contains(&median) {
         return Err(format!(
             "no-op telemetry overhead {median:.2}% exceeds {NOOP_TARGET_OVERHEAD_PCT:?}% budget"
         ));
@@ -848,10 +840,8 @@ fn main() {
                  Dense-BN-ReLU net: textbook naive executor (ijk dot-product \
                  triple loop, per-call weight materialization, separate \
                  bias/activation passes — the classic GEMM baseline) vs the \
-                 legacy ikj loop (the partially-optimized pre-kernel matmul, \
-                 reported for transparency) vs the blocked f64 kernel path \
-                 (verified bit-identical to both) vs the blocked f32 path, best \
-                 of 9 amortized samples",
+                 blocked f64 kernel path (verified bit-identical to it) vs the \
+                 blocked f32 path, best of 9 amortized samples",
                 &[
                     ("f64_target_speedup", F64_TARGET_SPEEDUP),
                     ("f32_target_speedup", F32_TARGET_SPEEDUP),
@@ -874,9 +864,9 @@ fn main() {
         .field(
             "batched_reconstruction",
             section(
-                "FS+GAN reconstruct_batch vs the per-sample scalar loop on a \
-                 trained 5GC-small pipeline; every batched run is verified \
-                 bit-identical to the scalar reference",
+                "FS+GAN reconstruct_batch_with over a thread grid on a trained \
+                 5GC-small pipeline; every run is verified bit-identical to the \
+                 threads=1 output",
                 &[],
                 &recon_cells,
             ),
@@ -884,8 +874,9 @@ fn main() {
         .field(
             "guarded_serving_overhead",
             section(
-                "try_reconstruct_batch (reject policy) vs reconstruct_batch on \
-                 clean single-threaded batches, best of 9; the guarded path is \
+                "try_reconstruct_batch_with (reject policy) vs \
+                 reconstruct_batch_with on clean single-threaded batches, best \
+                 of 9; the guarded path is \
                  verified bit-identical and its overhead is the cost of the \
                  input scan",
                 &[("target_overhead_pct", 5.0)],
@@ -944,6 +935,16 @@ mod tests {
         assert_eq!(kernel_gate(&kernels(2.0, 3.0), &clean), Ok(()));
         let slow = "blocked f64 speedup 1.40x fell below 1.5x";
         assert_eq!(kernel_gate(&kernels(1.4, 3.0), &clean), Err(slow.into()));
+        let nan64 = "blocked f64 speedup NaNx fell below 1.5x";
+        assert_eq!(
+            kernel_gate(&kernels(f64::NAN, 3.0), &clean),
+            Err(nan64.into())
+        );
+        let nan32 = "blocked f32 speedup NaNx fell below 2.5x";
+        assert_eq!(
+            kernel_gate(&kernels(2.0, f64::NAN), &clean),
+            Err(nan32.into())
+        );
         let flipped = [DivergenceCell {
             prediction_flips: 1,
             ..DivergenceCell::default()
@@ -967,5 +968,8 @@ mod tests {
             noop_telemetry_gate(&cells([0.0, 2.5, 3.0])),
             Err(over.into())
         );
+        // No cells give a NaN median: fail closed.
+        let empty = "no-op telemetry overhead NaN% exceeds 2.0% budget";
+        assert_eq!(noop_telemetry_gate(&[]), Err(empty.into()));
     }
 }

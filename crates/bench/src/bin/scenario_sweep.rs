@@ -170,7 +170,7 @@ fn recovery_gate(run: &GridRun, easy_recall: f64) -> Result<(), String> {
     if !run.identical {
         return Err("parallel sweep diverged from sequential re-run".into());
     }
-    if easy_recall < TARGET_EASY_RECALL {
+    if !(TARGET_EASY_RECALL..).contains(&easy_recall) {
         return Err(format!(
             "easy-cell FS recall {easy_recall:.3} fell below {TARGET_EASY_RECALL:?}"
         ));
@@ -329,6 +329,9 @@ mod tests {
         assert_eq!(recovery_gate(&run, 0.95), Ok(()));
         let low = "easy-cell FS recall 0.850 fell below 0.9";
         assert_eq!(recovery_gate(&run, 0.85), Err(low.into()));
+        // A grid with no easy cells has a NaN mean recall: fail closed.
+        let none = "easy-cell FS recall NaN fell below 0.9";
+        assert_eq!(recovery_gate(&run, f64::NAN), Err(none.into()));
         run.cells[3][1].macro_f1 = f64::NAN;
         let bad = "cell 3 src_only: bad macro_f1 NaN";
         assert_eq!(recovery_gate(&run, 0.95), Err(bad.into()));

@@ -227,7 +227,7 @@ fn swap_gate(swaps: usize, p99_ratio: f64) -> Result<(), String> {
     if swaps < 10 {
         return Err("benchmark must exercise at least 10 hot-swaps".into());
     }
-    if p99_ratio > TARGET_MAX_P99_RATIO {
+    if !(..=TARGET_MAX_P99_RATIO).contains(&p99_ratio) {
         return Err(format!(
             "p99 under swaps regressed: ratio {p99_ratio:.3} exceeds {TARGET_MAX_P99_RATIO:?}"
         ));
@@ -421,6 +421,8 @@ mod tests {
         assert_eq!(swap_gate(16, 1.05), Ok(()));
         let slow = "p99 under swaps regressed: ratio 1.200 exceeds 1.1";
         assert_eq!(swap_gate(16, 1.2), Err(slow.into()));
+        let nan = "p99 under swaps regressed: ratio NaN exceeds 1.1";
+        assert_eq!(swap_gate(16, f64::NAN), Err(nan.into()));
         let few = "benchmark must exercise at least 10 hot-swaps";
         assert_eq!(swap_gate(9, 1.0), Err(few.into()));
     }

@@ -42,19 +42,22 @@ pub struct FsGanAdapter {
 /// Monte-Carlo draws averaged by every prediction entry point (the
 /// general expectation the paper states before Eq. 10). The paper's M = 1
 /// shortcut is justified only "for small noise vectors"; the default
-/// generator draws a 30-dimensional noise block, and a single draw leaks
-/// that sampling variance straight into the served labels (several points
-/// of macro-F1 on the scenario grids). Eight draws sit where agreement
-/// with the many-draw label stabilises (the `mc_ablation` bench uses
-/// M = 9 as its reference); beyond that the curve is flat. Only the
+/// generator draws a 15- (5GIPC-sized) or 30-dimensional (5GC-sized)
+/// noise block, and a single draw leaks that sampling variance straight
+/// into the served labels. The `mc_ablation` bench (EXPERIMENTS.md A1),
+/// which draws noise per row as serving does, measures M = 9 against
+/// M = 1: 81–82 % label agreement at noise 15 and 30, and macro-F1
+/// gains of 5.3 and 4.8 points there (1.7–2.1 points even at noise 2
+/// and 8). Eight draws sit next to that M = 9 reference. Only the
 /// noise-dependent work grows with the draw count: each request is
 /// normalized and split once, and the generator's first-layer product
 /// over the invariant block is computed once for all draws; the noise
 /// share of that layer, the rest of the generator, and the classifier
-/// run per draw, stacked into shared batches. Reconstruction entry points
-/// ([`FsGanAdapter::reconstruct_batch`] and friends) still expose single
-/// draws — callers that want samples get samples, but a *label* is a
-/// posterior summary and is averaged.
+/// run per draw, stacked into shared batches. The reconstruction entry
+/// points ([`FsGanAdapter::reconstruct_batch_with`],
+/// [`FsGanAdapter::reconstruct_draw_with`]) still expose single draws —
+/// callers that want samples get samples, but a *label* is a posterior
+/// summary and is averaged.
 pub const MC_DRAWS: u64 = 8;
 
 /// Rows per Monte-Carlo batch: requests are split into row blocks of at
@@ -326,25 +329,6 @@ impl FsGanAdapter {
             .and_then(|r| r.train_outcome())
     }
 
-    /// Transforms raw target features into source-like normalized samples:
-    /// invariant features pass through, variant features are reconstructed
-    /// by the generator (Eq. 10–11).
-    pub fn transform(&self, features: &Matrix) -> Matrix {
-        self.transform_seeded(features, self.seed ^ 0x11FE)
-    }
-
-    fn transform_seeded(&self, features: &Matrix, noise_seed: u64) -> Matrix {
-        let fitted = self.fitted();
-        let (inv, var) = fitted.separation.split_normalized(features);
-        match &fitted.reconstructor {
-            Some(recon) => {
-                let var_hat = recon.reconstruct(&inv, noise_seed);
-                fitted.separation.reassemble(&inv, &var_hat)
-            }
-            None => fitted.separation.reassemble(&inv, &var),
-        }
-    }
-
     /// Predicts labels for raw target features, averaging class
     /// probabilities over [`MC_DRAWS`] generator draws (Eq. 12 via the
     /// general expectation before Eq. 10). Identical to
@@ -471,20 +455,7 @@ impl FsGanAdapter {
         let fitted = self.fitted();
         let separation = &fitted.separation;
         let n = block.len();
-        let idx: Vec<usize> = block.clone().collect();
-        let (inv, var) = separation.split_normalized(&features.select_rows(&idx));
-        let var_hats = match &fitted.reconstructor {
-            Some(recon) => {
-                let seeds: Vec<u64> = (0..draws)
-                    .flat_map(|d| {
-                        let base = self.draw_base(d);
-                        block.clone().map(move |row| row_seed(base, row as u64))
-                    })
-                    .collect();
-                recon.reconstruct_draws_with(&inv, &seeds, precision)
-            }
-            None => var,
-        };
+        let (inv, var_hats) = self.draw_block(features, block.clone(), 0..draws, precision);
         let per_batch = (MC_BATCH_ROWS / n).max(1) as u64;
         let mut sum: Option<Vec<f64>> = None;
         for first in (0..draws).step_by(per_batch as usize) {
@@ -515,6 +486,41 @@ impl FsGanAdapter {
         self.seed ^ 0x11FE ^ (draw << 32)
     }
 
+    /// The row-block routine behind every reconstruction and Monte-Carlo
+    /// entry point: rows `block` of `features` are normalized and split
+    /// once, and draws `draws` of their variant block are reconstructed in
+    /// one [`Reconstructor::reconstruct`] call, stacked draw-major. Returns
+    /// `(invariant block, variant draws)`. Request row `row` of draw `d` is
+    /// seeded by `row_seed(draw_base(d), row)`, so its bits depend only on
+    /// the row and the draw, never on how rows are blocked or threaded.
+    /// Without a reconstructor the normalized variant block passes through
+    /// as the only draw.
+    fn draw_block(
+        &self,
+        features: &Matrix,
+        block: std::ops::Range<usize>,
+        draws: std::ops::Range<u64>,
+        precision: InferPrecision,
+    ) -> (Matrix, Matrix) {
+        let fitted = self.fitted();
+        let idx: Vec<usize> = block.clone().collect();
+        let block_rows = features.select_rows(&idx);
+        let (inv, var) = fitted.separation.split_normalized(&block_rows);
+        let var_hats = match &fitted.reconstructor {
+            Some(recon) => {
+                let seeds: Vec<u64> = draws
+                    .flat_map(|d| {
+                        let base = self.draw_base(d);
+                        block.clone().map(move |row| row_seed(base, row as u64))
+                    })
+                    .collect();
+                recon.reconstruct(&inv, &seeds, precision)
+            }
+            None => var,
+        };
+        (inv, var_hats)
+    }
+
     /// Number of classes.
     ///
     /// # Panics
@@ -524,40 +530,31 @@ impl FsGanAdapter {
         self.fitted().num_classes
     }
 
-    /// The batched serving hot path: transforms raw target features like
-    /// [`FsGanAdapter::transform`], but with one independent noise seed per
-    /// row and the normalization + generator forward passes amortized over
-    /// row chunks on the shared worker pool (`threads: None` uses every
-    /// core).
+    /// Transforms raw target features into source-like normalized samples
+    /// (Eq. 10–11): invariant features pass through, variant features are
+    /// reconstructed by one generator draw. Normalization and the
+    /// generator forward pass are amortized over row chunks on the shared
+    /// worker pool (`threads: None` uses every core).
     ///
-    /// The output is **bit-identical for every thread count**, including
-    /// the per-sample reference loop [`FsGanAdapter::reconstruct_scalar`]:
-    /// row `r`'s noise depends only on the adapter seed and `r`, never on
-    /// how rows are chunked or scheduled.
+    /// Every row has its own noise seed, derived from the adapter seed and
+    /// the row index alone, so the output is **bit-identical for every
+    /// thread count and chunking**, down to one row per chunk. This is
+    /// draw 0 of the Monte-Carlo draws prediction averages.
     ///
-    /// This is the unguarded fast path: input is assumed validated.
-    /// NaN/Inf cells propagate garbage-in/garbage-out into the output; use
-    /// [`FsGanAdapter::try_reconstruct_batch`] on untrusted telemetry.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `features` has a different column count than the fitted
-    /// data.
-    pub fn reconstruct_batch(&self, features: &Matrix, threads: Option<usize>) -> Matrix {
-        self.reconstruct_batch_with(features, threads, InferPrecision::F64Exact)
-    }
-
-    /// [`FsGanAdapter::reconstruct_batch`] at an explicit numeric
-    /// precision. [`InferPrecision::F64Exact`] is bit-identical to
-    /// `reconstruct_batch` (and to [`FsGanAdapter::reconstruct_scalar`]);
+    /// [`InferPrecision::F64Exact`] is the exact path;
     /// [`InferPrecision::F32Fast`] runs the reconstructor's compiled
     /// single-precision plan, trading a small bounded divergence for
     /// throughput. The separation/normalization arithmetic around the
     /// generator always stays in `f64`.
     ///
+    /// This is the unguarded fast path: input is assumed validated.
+    /// NaN/Inf cells propagate garbage-in/garbage-out into the output; use
+    /// [`FsGanAdapter::try_reconstruct_batch_with`] on untrusted telemetry.
+    ///
     /// # Panics
     ///
-    /// As [`FsGanAdapter::reconstruct_batch`].
+    /// Panics when `features` has a different column count than the fitted
+    /// data.
     pub fn reconstruct_batch_with(
         &self,
         features: &Matrix,
@@ -575,7 +572,7 @@ impl FsGanAdapter {
     ///
     /// # Panics
     ///
-    /// As [`FsGanAdapter::reconstruct_batch`].
+    /// As [`FsGanAdapter::reconstruct_batch_with`].
     pub fn reconstruct_draw_with(
         &self,
         features: &Matrix,
@@ -590,22 +587,9 @@ impl FsGanAdapter {
         let threads = resolve_threads(threads);
         let rows = features.rows();
         let chunks = row_chunks(rows, threads);
-        let base = self.draw_base(draw);
-        let separation = &fitted.separation;
-        let recon = fitted.reconstructor.as_deref();
         let parts = par_map(threads, &chunks, |_, &(start, end)| {
-            let idx: Vec<usize> = (start..end).collect();
-            let block = features.select_rows(&idx);
-            let (inv, var) = separation.split_normalized(&block);
-            match recon {
-                Some(r) => {
-                    let seeds: Vec<u64> =
-                        (start..end).map(|row| row_seed(base, row as u64)).collect();
-                    let var_hat = r.reconstruct_rows_with(&inv, &seeds, precision);
-                    separation.reassemble(&inv, &var_hat)
-                }
-                None => separation.reassemble(&inv, &var),
-            }
+            let (inv, var_hat) = self.draw_block(features, start..end, draw..draw + 1, precision);
+            fitted.separation.reassemble(&inv, &var_hat)
         });
         // Copy each chunk into a preallocated output instead of folding
         // with vstack, which cloned the first chunk and reallocated the
@@ -620,36 +604,13 @@ impl FsGanAdapter {
         out
     }
 
-    /// Per-sample reference loop for [`FsGanAdapter::reconstruct_batch`]:
-    /// transforms one row at a time through the scalar reconstruction
-    /// entry point. Slow by construction; exists so tests and benches can
-    /// pin the batched path to it bit-for-bit.
-    pub fn reconstruct_scalar(&self, features: &Matrix) -> Matrix {
-        let fitted = self.fitted();
-        let base = self.seed ^ 0x11FE;
-        let mut out = Matrix::zeros(features.rows(), features.cols());
-        for r in 0..features.rows() {
-            let row = features.select_rows(&[r]);
-            let (inv, var) = fitted.separation.split_normalized(&row);
-            let transformed = match &fitted.reconstructor {
-                Some(recon) => {
-                    let var_hat = recon.reconstruct(&inv, row_seed(base, r as u64));
-                    fitted.separation.reassemble(&inv, &var_hat)
-                }
-                None => fitted.separation.reassemble(&inv, &var),
-            };
-            out.row_mut(r).copy_from_slice(transformed.row(0));
-        }
-        out
-    }
-
     /// Batched prediction: class probabilities averaged over [`MC_DRAWS`]
     /// per-row-seeded reconstruction draws, then one argmax. Like the
     /// reconstruction itself, the predictions are identical for every
     /// thread count.
     ///
     /// This is the unguarded fast path; it inherits the contract of
-    /// [`FsGanAdapter::reconstruct_batch`]. Use
+    /// [`FsGanAdapter::reconstruct_batch_with`]. Use
     /// [`FsGanAdapter::try_predict_batch`] on untrusted telemetry.
     ///
     /// # Panics
@@ -677,11 +638,13 @@ impl FsGanAdapter {
         argmax_rows(&self.mc_proba_with(features, threads, precision))
     }
 
-    /// Guarded variant of [`FsGanAdapter::reconstruct_batch`]: validates
-    /// the batch against the source-fitted normalizer and `guard` before
-    /// reconstruction (rejecting or repairing corrupt cells), then verifies
-    /// the output is fully finite. A clean batch takes the identical
-    /// reconstruction path and returns bit-identical output.
+    /// Guarded variant of [`FsGanAdapter::reconstruct_batch_with`]:
+    /// validates the batch against the source-fitted normalizer and `guard`
+    /// before reconstruction (rejecting or repairing corrupt cells), then
+    /// verifies the output is fully finite. A clean batch takes the
+    /// identical reconstruction path and returns bit-identical output. The
+    /// input validation and the finite-output check are identical at both
+    /// precisions; only the generator forward pass changes.
     ///
     /// # Errors
     ///
@@ -690,23 +653,6 @@ impl FsGanAdapter {
     /// the first corrupt input cell under [`crate::InputPolicy::Reject`];
     /// [`ServeError::NonFiniteOutput`] when the pipeline itself emits a
     /// non-finite value (corrupt artifact or diverged reconstructor).
-    pub fn try_reconstruct_batch(
-        &self,
-        features: &Matrix,
-        threads: Option<usize>,
-        guard: &GuardConfig,
-    ) -> std::result::Result<Matrix, ServeError> {
-        self.try_reconstruct_batch_with(features, threads, guard, InferPrecision::F64Exact)
-    }
-
-    /// [`FsGanAdapter::try_reconstruct_batch`] at an explicit numeric
-    /// precision. The input validation and the finite-output check are
-    /// identical at both precisions; only the generator forward pass
-    /// changes.
-    ///
-    /// # Errors
-    ///
-    /// As [`FsGanAdapter::try_reconstruct_batch`].
     pub fn try_reconstruct_batch_with(
         &self,
         features: &Matrix,
@@ -717,12 +663,10 @@ impl FsGanAdapter {
         let repaired = sanitize_batch(features, self.fitted().separation.normalizer(), guard)?;
         let clean = repaired.as_ref().unwrap_or(features);
         let out = self.reconstruct_batch_with(clean, threads, precision);
-        for r in 0..out.rows() {
-            if let Some(c) = out.row(r).iter().position(|v| !v.is_finite()) {
-                return Err(ServeError::NonFiniteOutput { row: r, col: c });
-            }
+        match first_non_finite(&out, out.rows(), 0, 0) {
+            Some((_, row, col)) => Err(ServeError::NonFiniteOutput { row, col }),
+            None => Ok(out),
         }
-        Ok(out)
     }
 
     /// Guarded variant of [`FsGanAdapter::predict_batch`]: the batch is
@@ -734,7 +678,7 @@ impl FsGanAdapter {
     ///
     /// # Errors
     ///
-    /// As [`FsGanAdapter::try_reconstruct_batch`].
+    /// As [`FsGanAdapter::try_reconstruct_batch_with`].
     pub fn try_predict_batch(
         &self,
         features: &Matrix,
@@ -749,7 +693,7 @@ impl FsGanAdapter {
     ///
     /// # Errors
     ///
-    /// As [`FsGanAdapter::try_reconstruct_batch`].
+    /// As [`FsGanAdapter::try_reconstruct_batch_with`].
     pub fn try_predict_batch_with(
         &self,
         features: &Matrix,

@@ -304,8 +304,8 @@ pub(crate) const ARTIFACT_FMAA: u8 = 8;
 
 /// Derives one independent noise seed per serving row (splitmix64 mix).
 /// Row `r` always gets the same seed no matter how rows are chunked across
-/// worker threads, which is what makes [`FsGanAdapter::reconstruct_batch`]
-/// bit-identical to the per-sample loop at every thread count.
+/// worker threads, which is what makes [`FsGanAdapter`]'s reconstructions
+/// and predictions bit-identical at every thread count.
 pub(crate) fn row_seed(base: u64, row: u64) -> u64 {
     let mut z = base ^ row.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

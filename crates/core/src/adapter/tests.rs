@@ -8,7 +8,9 @@ use fsda_data::Dataset;
 use fsda_gan::WatchdogConfig;
 use fsda_linalg::{Matrix, SeededRng};
 use fsda_models::metrics::macro_f1;
-use fsda_models::ClassifierKind;
+use fsda_models::{ClassifierKind, InferPrecision};
+
+const EXACT: InferPrecision = InferPrecision::F64Exact;
 
 fn setup(seed: u64) -> (fsda_data::synth5gc::Synth5gcBundle, Dataset) {
     let bundle = Synth5gc::small().generate(seed).unwrap();
@@ -73,11 +75,11 @@ fn fs_gan_adapter_beats_source_only() {
 }
 
 #[test]
-fn transform_restores_source_range_on_variant_columns() {
+fn reconstruction_restores_source_range_on_variant_columns() {
     let (bundle, shots) = setup(3);
     let cfg = AdapterConfig::quick().with_classifier(ClassifierKind::RandomForest);
     let adapter = FsGanAdapter::fit(&bundle.source_train, &shots, &cfg, 11).unwrap();
-    let transformed = adapter.transform(bundle.target_test.features());
+    let transformed = adapter.reconstruct_batch_with(bundle.target_test.features(), None, EXACT);
     // Variant columns were reconstructed by the tanh generator: bounded.
     for &c in adapter.separation().variant() {
         let col = transformed.col(c);
@@ -123,10 +125,9 @@ fn save_load_round_trip_is_bit_identical() {
     assert_eq!(loaded.to_bytes().unwrap(), bytes);
     let x = bundle.target_test.features();
     assert_eq!(loaded.predict(x), adapter.predict(x));
-    assert_eq!(loaded.transform(x), adapter.transform(x));
     assert_eq!(
-        loaded.reconstruct_batch(x, Some(2)),
-        adapter.reconstruct_batch(x, Some(2))
+        loaded.reconstruct_batch_with(x, Some(2), EXACT),
+        adapter.reconstruct_batch_with(x, Some(2), EXACT)
     );
     assert_eq!(
         loaded.separation().variant(),
@@ -158,11 +159,17 @@ fn batched_reconstruction_is_thread_count_invariant() {
     let cfg = AdapterConfig::quick().with_classifier(ClassifierKind::RandomForest);
     let adapter = FsGanAdapter::fit(&bundle.source_train, &shots, &cfg, 23).unwrap();
     let x = bundle.target_test.features();
-    let scalar = adapter.reconstruct_scalar(x);
-    for threads in [1, 2, 4] {
+    let whole = adapter.reconstruct_batch_with(x, Some(1), EXACT);
+    // One row per chunk, the shape of a per-sample loop.
+    let head: Vec<usize> = (0..8).collect();
+    assert_eq!(
+        adapter.reconstruct_batch_with(&x.select_rows(&head), Some(8), EXACT),
+        whole.select_rows(&head)
+    );
+    for threads in [2, 4] {
         assert_eq!(
-            adapter.reconstruct_batch(x, Some(threads)),
-            scalar,
+            adapter.reconstruct_batch_with(x, Some(threads), EXACT),
+            whole,
             "threads = {threads}"
         );
     }
@@ -218,7 +225,7 @@ fn try_predict_batch_guards_malformed_batches() {
     for policy in [InputPolicy::ImputeSourceMean, InputPolicy::Clamp] {
         let guard = GuardConfig::default().with_policy(policy);
         let recon = adapter
-            .try_reconstruct_batch(&poisoned, None, &guard)
+            .try_reconstruct_batch_with(&poisoned, None, &guard, EXACT)
             .unwrap();
         assert!(
             (0..recon.rows()).all(|r| recon.row(r).iter().all(|v| v.is_finite())),
@@ -316,7 +323,7 @@ fn degenerate_separations_serve_pass_through() {
 
     // Pass-through serving: reconstruction is just normalization.
     let batch = bundle.target_test.features();
-    let recon = adapter.reconstruct_batch(batch, None);
+    let recon = adapter.reconstruct_batch_with(batch, None, EXACT);
     let expected = adapter.separation().normalizer().transform(batch);
     for r in 0..recon.rows() {
         assert_eq!(recon.row(r), expected.row(r));

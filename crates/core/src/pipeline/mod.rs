@@ -1,14 +1,10 @@
-//! The composable stage pipeline and the unified mitigation interface.
+//! The unified mitigation interface.
 //!
 //! The paper's central claim is that drift mitigation is *model-agnostic*:
 //! separation, reconstruction, and classification are independent stages
-//! that compose with any downstream classifier. This module makes that
-//! compositionality a first-class API instead of an implementation detail:
+//! that compose with any downstream classifier. This module gives every
+//! method one end-to-end interface:
 //!
-//! - [`stage`] defines the per-stage traits ([`SeparatorStage`],
-//!   [`ReconstructorStage`], [`ClassifierStage`]) over [`Matrix`] batches,
-//!   so the building blocks of a pipeline can be named, swapped, and tested
-//!   in isolation.
 //! - [`DriftMitigator`] is the uniform end-to-end interface — `fit`,
 //!   `try_fit`, `predict`, `predict_batch`, `try_predict_batch`,
 //!   `to_bytes`, `health` — implemented by [`crate::FsAdapter`],
@@ -46,11 +42,9 @@ pub mod baseline;
 pub mod fit_common;
 pub(crate) mod observe;
 pub mod registry;
-pub mod stage;
 
 pub use baseline::BaselineMitigator;
 pub use registry::restore;
-pub use stage::{ClassifierStage, ReconstructorStage, SeparatorStage, Stage};
 
 use crate::method::Method;
 use crate::serve::{FitError, GuardConfig, ServeError};

@@ -4,9 +4,9 @@
 //! Deployed pipelines ingest telemetry that the training code never saw:
 //! collectors emit NaN for missed counters, overflow to Inf, or ship rows
 //! whose values sit absurdly far outside the source support. The infallible
-//! serving methods ([`crate::FsGanAdapter::reconstruct_batch`] and friends)
-//! are garbage-in/garbage-out by contract; the `try_*` variants accept a
-//! [`GuardConfig`] that either rejects such rows with a localized
+//! serving methods ([`crate::FsGanAdapter::reconstruct_batch_with`] and
+//! friends) are garbage-in/garbage-out by contract; the `try_*` variants
+//! accept a [`GuardConfig`] that either rejects such rows with a localized
 //! [`ServeError`] or repairs them in place ([`InputPolicy::ImputeSourceMean`]
 //! / [`InputPolicy::Clamp`]) before the batch reaches the generator.
 //!

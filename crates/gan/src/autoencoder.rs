@@ -172,20 +172,6 @@ impl Reconstructor for VanillaAe {
         Ok(())
     }
 
-    fn reconstruct(&self, x_inv: &Matrix, _seed: u64) -> Matrix {
-        let net = self
-            .net
-            .as_ref()
-            .expect("VanillaAe: reconstruct before fit");
-        let (d_inv, _) = self.dims.expect("dims recorded at fit");
-        assert_eq!(
-            x_inv.cols(),
-            d_inv,
-            "VanillaAe: invariant-block width mismatch"
-        );
-        self.run_net(net, x_inv, InferPrecision::F64Exact)
-    }
-
     fn name(&self) -> &'static str {
         "ae"
     }
@@ -194,32 +180,7 @@ impl Reconstructor for VanillaAe {
         self.outcome
     }
 
-    fn reconstruct_rows(&self, x_inv: &Matrix, row_seeds: &[u64]) -> Matrix {
-        // Deterministic model: seeds are irrelevant, a single amortized
-        // inference pass over the whole batch is exact.
-        self.reconstruct_rows_with(x_inv, row_seeds, InferPrecision::F64Exact)
-    }
-
-    fn reconstruct_rows_with(
-        &self,
-        x_inv: &Matrix,
-        row_seeds: &[u64],
-        precision: InferPrecision,
-    ) -> Matrix {
-        assert_eq!(
-            x_inv.rows(),
-            row_seeds.len(),
-            "reconstruct_rows: one seed per row"
-        );
-        self.reconstruct_draws_with(x_inv, row_seeds, precision)
-    }
-
-    fn reconstruct_draws_with(
-        &self,
-        x_inv: &Matrix,
-        draw_seeds: &[u64],
-        precision: InferPrecision,
-    ) -> Matrix {
+    fn reconstruct(&self, x_inv: &Matrix, seeds: &[u64], precision: InferPrecision) -> Matrix {
         let net = self
             .net
             .as_ref()
@@ -232,9 +193,9 @@ impl Reconstructor for VanillaAe {
         );
         // Seeds do not enter the model: every draw is the same pass, so run
         // it once and repeat it.
-        let draws = draw_count(x_inv.rows(), draw_seeds.len());
+        let draws = draw_count(x_inv.rows(), seeds.len());
         let once = self.run_net(net, x_inv, precision);
-        Matrix::from_vec(draw_seeds.len(), once.cols(), once.as_slice().repeat(draws))
+        Matrix::from_vec(seeds.len(), once.cols(), once.as_slice().repeat(draws))
     }
 
     fn snapshot(&self) -> Result<ReconSnapshot> {
@@ -288,7 +249,7 @@ mod tests {
             2,
         );
         ae.fit(&x_inv, &x_var, &y).unwrap();
-        let recon = ae.reconstruct(&x_inv, 0);
+        let recon = crate::reconstruct_seeded(&ae, &x_inv, 0);
         for c in 0..2 {
             let r = pearson(&recon.col(c), &x_var.col(c));
             assert!(r > 0.8, "AE should fit the regression, col {c} r = {r}");
@@ -307,7 +268,10 @@ mod tests {
             4,
         );
         ae.fit(&x_inv, &x_var, &y).unwrap();
-        assert_eq!(ae.reconstruct(&x_inv, 1), ae.reconstruct(&x_inv, 999));
+        assert_eq!(
+            crate::reconstruct_seeded(&ae, &x_inv, 1),
+            crate::reconstruct_seeded(&ae, &x_inv, 999)
+        );
     }
 
     #[test]
@@ -329,31 +293,15 @@ mod tests {
         ae.fit(&x_inv, &x_var, &y).unwrap();
         let snap = ae.snapshot().unwrap();
         let restored = crate::restore_reconstructor(&snap).unwrap();
-        assert_eq!(restored.reconstruct(&x_inv, 0), ae.reconstruct(&x_inv, 0));
+        assert_eq!(
+            crate::reconstruct_seeded(restored.as_ref(), &x_inv, 0),
+            crate::reconstruct_seeded(&ae, &x_inv, 0)
+        );
         assert_eq!(restored.snapshot().unwrap(), snap);
     }
 
     #[test]
-    fn reconstruct_rows_matches_full_pass() {
-        let (x_inv, x_var, y) = toy(32, 7);
-        let mut ae = VanillaAe::new(
-            AeConfig {
-                hidden: 16,
-                epochs: 10,
-                ..AeConfig::default()
-            },
-            8,
-        );
-        ae.fit(&x_inv, &x_var, &y).unwrap();
-        let seeds = vec![0u64; 32];
-        assert_eq!(
-            ae.reconstruct_rows(&x_inv, &seeds),
-            ae.reconstruct(&x_inv, 0)
-        );
-    }
-
-    #[test]
-    fn draws_tile_the_single_pass() {
+    fn reconstruct_contract_holds() {
         let (x_inv, x_var, y) = toy(16, 10);
         let mut ae = VanillaAe::new(
             AeConfig {
@@ -364,7 +312,7 @@ mod tests {
             11,
         );
         ae.fit(&x_inv, &x_var, &y).unwrap();
-        crate::assert_draws_match_rows(&ae, &x_inv);
+        crate::assert_reconstruct_contract(&ae, &x_inv);
     }
 
     #[test]
@@ -424,8 +372,8 @@ mod tests {
         );
         unguarded.fit(&x_inv, &x_var, &y).unwrap();
         assert_eq!(
-            guarded.reconstruct(&x_inv, 0),
-            unguarded.reconstruct(&x_inv, 0)
+            crate::reconstruct_seeded(&guarded, &x_inv, 0),
+            crate::reconstruct_seeded(&unguarded, &x_inv, 0)
         );
     }
 

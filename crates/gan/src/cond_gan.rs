@@ -312,11 +312,10 @@ impl Reconstructor for CondGan {
         Ok(())
     }
 
-    fn reconstruct(&self, x_inv: &Matrix, seed: u64) -> Matrix {
+    fn reconstruct(&self, x_inv: &Matrix, seeds: &[u64], precision: InferPrecision) -> Matrix {
         let gen = self.fitted_generator(x_inv);
-        let mut rng = SeededRng::new(seed);
-        let z = rng.normal_matrix(x_inv.rows(), self.config.noise_dim, 0.0, 1.0);
-        forward_conditioned(self.plan.as_ref(), gen, x_inv, &z, InferPrecision::F64Exact)
+        let z = seeded_noise(seeds, self.config.noise_dim);
+        forward_conditioned(self.plan.as_ref(), gen, x_inv, &z, precision)
     }
 
     fn name(&self) -> &'static str {
@@ -329,35 +328,6 @@ impl Reconstructor for CondGan {
 
     fn train_outcome(&self) -> Option<TrainOutcome> {
         self.outcome
-    }
-
-    fn reconstruct_rows(&self, x_inv: &Matrix, row_seeds: &[u64]) -> Matrix {
-        self.reconstruct_rows_with(x_inv, row_seeds, InferPrecision::F64Exact)
-    }
-
-    fn reconstruct_rows_with(
-        &self,
-        x_inv: &Matrix,
-        row_seeds: &[u64],
-        precision: InferPrecision,
-    ) -> Matrix {
-        assert_eq!(
-            x_inv.rows(),
-            row_seeds.len(),
-            "reconstruct_rows: one seed per row"
-        );
-        self.reconstruct_draws_with(x_inv, row_seeds, precision)
-    }
-
-    fn reconstruct_draws_with(
-        &self,
-        x_inv: &Matrix,
-        draw_seeds: &[u64],
-        precision: InferPrecision,
-    ) -> Matrix {
-        let gen = self.fitted_generator(x_inv);
-        let z = seeded_noise(draw_seeds, self.config.noise_dim);
-        forward_conditioned(self.plan.as_ref(), gen, x_inv, &z, precision)
     }
 
     fn snapshot(&self) -> Result<ReconSnapshot> {
@@ -423,7 +393,7 @@ mod tests {
         let (x_inv, x_var, y) = toy_source(256, 1);
         let mut gan = CondGan::new(quick_config(), 2);
         gan.fit(&x_inv, &x_var, &y).unwrap();
-        let recon = gan.reconstruct(&x_inv, 3);
+        let recon = crate::reconstruct_seeded(&gan, &x_inv, 3);
         let r = pearson(&recon.col(0), &x_var.col(0));
         assert!(
             r > 0.5,
@@ -436,7 +406,10 @@ mod tests {
         let (x_inv, x_var, y) = toy_source(128, 4);
         let mut gan = CondGan::new(quick_config(), 5);
         gan.fit(&x_inv, &x_var, &y).unwrap();
-        assert_eq!(gan.reconstruct(&x_inv, 9), gan.reconstruct(&x_inv, 9));
+        assert_eq!(
+            crate::reconstruct_seeded(&gan, &x_inv, 9),
+            crate::reconstruct_seeded(&gan, &x_inv, 9)
+        );
     }
 
     #[test]
@@ -452,8 +425,8 @@ mod tests {
             7,
         );
         gan.fit(&x_inv, &x_var, &y).unwrap();
-        let a = gan.reconstruct(&x_inv, 1);
-        let b = gan.reconstruct(&x_inv, 2);
+        let a = crate::reconstruct_seeded(&gan, &x_inv, 1);
+        let b = crate::reconstruct_seeded(&gan, &x_inv, 2);
         let diff: f64 = a
             .try_sub(&b)
             .unwrap()
@@ -477,7 +450,7 @@ mod tests {
         // Even far-out-of-distribution inputs produce bounded outputs —
         // this is what maps drifted samples back into the source range.
         let drifted = x_inv.map(|v| v + 10.0);
-        let recon = gan.reconstruct(&drifted, 10);
+        let recon = crate::reconstruct_seeded(&gan, &drifted, 10);
         assert!(recon.max_abs() <= 1.0 + 1e-9);
     }
 
@@ -494,7 +467,7 @@ mod tests {
         let (x_inv, x_var, y) = toy_source(128, 11);
         let mut gan = CondGan::new(quick_config().without_label_conditioning(), 12);
         gan.fit(&x_inv, &x_var, &y).unwrap();
-        let recon = gan.reconstruct(&x_inv, 13);
+        let recon = crate::reconstruct_seeded(&gan, &x_inv, 13);
         assert_eq!(recon.shape(), (128, 1));
         assert!(recon.is_finite());
     }
@@ -521,7 +494,7 @@ mod tests {
         let (x_inv, x_var, y) = toy_source(256, 16);
         let mut gan = CondGan::new(quick_config(), 17);
         gan.fit(&x_inv, &x_var, &y).unwrap();
-        let recon = gan.reconstruct(&x_inv, 18);
+        let recon = crate::reconstruct_seeded(&gan, &x_inv, 18);
         let m_real = mean(&x_var.col(0));
         let m_fake = mean(&recon.col(0));
         assert!(
@@ -539,8 +512,8 @@ mod tests {
         let restored = crate::restore_reconstructor(&snap).unwrap();
         assert_eq!(restored.name(), "gan");
         assert_eq!(
-            restored.reconstruct(&x_inv, 22),
-            gan.reconstruct(&x_inv, 22)
+            crate::reconstruct_seeded(restored.as_ref(), &x_inv, 22),
+            crate::reconstruct_seeded(&gan, &x_inv, 22)
         );
         // The restored model snapshots back to the same state.
         assert_eq!(restored.snapshot().unwrap(), snap);
@@ -553,25 +526,13 @@ mod tests {
     }
 
     #[test]
-    fn reconstruct_rows_matches_per_row_loop() {
-        let (x_inv, x_var, y) = toy_source(64, 23);
-        let mut gan = CondGan::new(quick_config(), 24);
-        gan.fit(&x_inv, &x_var, &y).unwrap();
-        let seeds: Vec<u64> = (0..64u64).map(|i| i.wrapping_mul(0x9E37) ^ 0x5A).collect();
-        let batched = gan.reconstruct_rows(&x_inv, &seeds);
-        for (r, &seed) in seeds.iter().enumerate() {
-            let single = gan.reconstruct(&x_inv.select_rows(&[r]), seed);
-            assert_eq!(batched.row(r), single.row(0), "row {r}");
-        }
-    }
-
-    #[test]
-    fn draws_match_one_rows_call_per_draw() {
+    fn reconstruct_contract_holds() {
         let (x_inv, x_var, y) = toy_source(24, 25);
-        let mut gan = CondGan::new(quick_config(), 26);
-        gan.fit(&x_inv, &x_var, &y).unwrap();
-        crate::assert_draws_match_rows(&gan, &x_inv);
-        crate::assert_draws_match_rows(&gan, &x_inv.select_rows(&[5]));
+        for config in [quick_config(), quick_config().without_label_conditioning()] {
+            let mut gan = CondGan::new(config, 26);
+            gan.fit(&x_inv, &x_var, &y).unwrap();
+            crate::assert_reconstruct_contract(&gan, &x_inv);
+        }
     }
 
     #[test]
@@ -625,7 +586,7 @@ mod tests {
         );
         gan.fit(&x_inv, &x_var, &y).unwrap();
         assert_eq!(gan.train_outcome(), Some(fsda_nn::TrainOutcome::Converged));
-        assert!(gan.reconstruct(&x_inv, 36).is_finite());
+        assert!(crate::reconstruct_seeded(&gan, &x_inv, 36).is_finite());
     }
 
     #[test]
@@ -648,7 +609,10 @@ mod tests {
         let mut b = CondGan::new(cfg_off, 38);
         a.fit(&x_inv, &x_var, &y).unwrap();
         b.fit(&x_inv, &x_var, &y).unwrap();
-        assert_eq!(a.reconstruct(&x_inv, 39), b.reconstruct(&x_inv, 39));
+        assert_eq!(
+            crate::reconstruct_seeded(&a, &x_inv, 39),
+            crate::reconstruct_seeded(&b, &x_inv, 39)
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! ```
 //! use fsda_linalg::{Matrix, SeededRng};
-//! use fsda_gan::{Reconstructor, autoencoder::{AeConfig, VanillaAe}};
+//! use fsda_gan::{InferPrecision, Reconstructor, autoencoder::{AeConfig, VanillaAe}};
 //!
 //! // x_var is a linear function of x_inv; the AE learns to reconstruct it.
 //! let mut rng = SeededRng::new(0);
@@ -22,7 +22,9 @@
 //! let y = Matrix::zeros(128, 1);
 //! let mut ae = VanillaAe::new(AeConfig { epochs: 200, ..AeConfig::default() }, 1);
 //! ae.fit(&x_inv, &x_var, &y)?;
-//! let recon = ae.reconstruct(&x_inv, 7);
+//! // One noise seed per row (the AE is deterministic and ignores them).
+//! let seeds: Vec<u64> = (0..128).collect();
+//! let recon = ae.reconstruct(&x_inv, &seeds, InferPrecision::F64Exact);
 //! assert_eq!(recon.shape(), (128, 1));
 //! # Ok::<(), fsda_gan::GanError>(())
 //! ```
@@ -67,7 +69,8 @@ pub type Result<T> = std::result::Result<T, GanError>;
 ///
 /// `fit` trains on source-domain samples only (the defining property of the
 /// paper's approach); `reconstruct` generates source-like variant features
-/// for arbitrary (e.g. target-domain) invariant features.
+/// for arbitrary (e.g. target-domain) invariant features, one noise draw
+/// per seed.
 pub trait Reconstructor: Send + Sync {
     /// Trains on source data: invariant block, variant block, and one-hot
     /// labels (models that do not condition on labels ignore them).
@@ -78,91 +81,32 @@ pub trait Reconstructor: Send + Sync {
     /// block is empty.
     fn fit(&mut self, x_inv: &Matrix, x_var: &Matrix, y_onehot: &Matrix) -> Result<()>;
 
-    /// Generates variant features for the given invariant features.
-    /// `seed` drives the generator noise, so fixed seeds give reproducible
-    /// reconstructions and different seeds give Monte-Carlo samples.
+    /// Reconstructs variant features for `x_inv`, one generator draw per
+    /// seed. `seeds` holds a whole number of `x_inv.rows()`-row draws,
+    /// stacked draw-major: with `n = x_inv.rows()`, row `d·n + r` of the
+    /// result is draw `d` of input row `r`, and its noise is seeded by
+    /// `seeds[d·n + r]` alone. A row's output therefore depends only on
+    /// its input row and its seed, never on how rows or draws are grouped
+    /// into calls: a batch equals its rows reconstructed one at a time, and
+    /// a stack of draws equals one call per draw. This is the contract the
+    /// serving path relies on.
     ///
-    /// # Panics
-    ///
-    /// Panics when called before a successful [`Reconstructor::fit`].
-    fn reconstruct(&self, x_inv: &Matrix, seed: u64) -> Matrix;
-
-    /// Short name for reports ("gan", "gan-nocond", "vae", "ae").
-    fn name(&self) -> &'static str;
-
-    /// Reconstructs a batch where row `r` uses generator noise seeded by
-    /// `row_seeds[r]`, so the result does not depend on how rows are
-    /// grouped into batches: reconstructing all rows at once, one at a
-    /// time, or in arbitrary chunks gives bit-identical output. This is
-    /// the contract the batched serving path relies on.
-    ///
-    /// The default implementation loops [`Reconstructor::reconstruct`]
-    /// over single rows; implementations override it to amortize the
-    /// network forward pass over the whole matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called before a successful fit, or when
-    /// `row_seeds.len() != x_inv.rows()`.
-    fn reconstruct_rows(&self, x_inv: &Matrix, row_seeds: &[u64]) -> Matrix {
-        assert_eq!(
-            x_inv.rows(),
-            row_seeds.len(),
-            "reconstruct_rows: one seed per row"
-        );
-        let mut out: Option<Matrix> = None;
-        for (r, &seed) in row_seeds.iter().enumerate() {
-            let row = self.reconstruct(&x_inv.select_rows(&[r]), seed);
-            out = Some(match out {
-                None => row,
-                Some(acc) => acc.vstack(&row).expect("same column count"),
-            });
-        }
-        out.expect("reconstruct_rows: empty batch")
-    }
-
-    /// [`Reconstructor::reconstruct_rows`] at an explicit numeric
-    /// precision. [`InferPrecision::F64Exact`] must be bit-identical to
-    /// `reconstruct_rows`; [`InferPrecision::F32Fast`] may trade a small,
-    /// bounded divergence for throughput (models with a compiled
-    /// inference plan run the single-precision kernels).
-    ///
-    /// The default ignores the precision and runs the exact path, so
-    /// reconstructors without a fast path stay correct.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called before a successful fit, or when
-    /// `row_seeds.len() != x_inv.rows()`.
-    fn reconstruct_rows_with(
-        &self,
-        x_inv: &Matrix,
-        row_seeds: &[u64],
-        precision: InferPrecision,
-    ) -> Matrix {
-        let _ = precision;
-        self.reconstruct_rows(x_inv, row_seeds)
-    }
-
-    /// Reconstructs several Monte-Carlo draws of one batch in one call,
-    /// stacked draw-major: `draw_seeds` holds `draws · x_inv.rows()` seeds,
-    /// and rows `d·n..(d+1)·n` of the result are, bit for bit,
-    /// `reconstruct_rows_with(x_inv, &draw_seeds[d·n..(d+1)·n], precision)`
-    /// (with `n = x_inv.rows()`). Models whose network input is
+    /// [`InferPrecision::F64Exact`] is the exact path;
+    /// [`InferPrecision::F32Fast`] may trade a small, bounded divergence for
+    /// throughput (models with a compiled inference plan run the
+    /// single-precision kernels). Models whose network input is
     /// `[x_inv | z]` compute the `x_inv` share of the first layer once for
     /// all draws; only the noise share is paid per draw.
     ///
     /// # Panics
     ///
-    /// Panics when called before a successful fit, or when
-    /// `draw_seeds.len()` is not a whole number of `x_inv.rows()`-row
+    /// Panics when called before a successful [`Reconstructor::fit`], or
+    /// when `seeds.len()` is not a whole number of `x_inv.rows()`-row
     /// draws.
-    fn reconstruct_draws_with(
-        &self,
-        x_inv: &Matrix,
-        draw_seeds: &[u64],
-        precision: InferPrecision,
-    ) -> Matrix;
+    fn reconstruct(&self, x_inv: &Matrix, seeds: &[u64], precision: InferPrecision) -> Matrix;
+
+    /// Short name for reports ("gan", "gan-nocond", "vae", "ae").
+    fn name(&self) -> &'static str;
 
     /// How the last [`Reconstructor::fit`] ended, when the model tracks it
     /// with a divergence watchdog: `Converged`, `Recovered`, or `Diverged`.
@@ -291,14 +235,14 @@ pub(crate) fn draw_count(rows: usize, seeds: usize) -> usize {
     assert_eq!(
         draws * rows,
         seeds,
-        "reconstruct_draws: {seeds} seeds are not a whole number of {rows}-row draws"
+        "reconstruct: {seeds} seeds are not a whole number of {rows}-row draws"
     );
     draws
 }
 
 /// Noise rows for per-row seeds: row `i` holds the first `dim` standard
-/// normal draws of a fresh generator seeded with `seeds[i]`, exactly what
-/// a one-row `reconstruct(x, seeds[i])` draws.
+/// normal draws of a fresh generator seeded with `seeds[i]`, so a row's
+/// noise never depends on the rows drawn beside it.
 pub(crate) fn seeded_noise(seeds: &[u64], dim: usize) -> Matrix {
     let mut z = Matrix::zeros(seeds.len(), dim);
     for (r, &seed) in seeds.iter().enumerate() {
@@ -357,23 +301,54 @@ pub(crate) fn validate_fit(x_inv: &Matrix, x_var: &Matrix, y_onehot: &Matrix) ->
     Ok(())
 }
 
-/// Test helper: `reconstruct_draws_with` equals one
-/// `reconstruct_rows_with` per draw, stacked, at both precisions.
+/// Test helper: `n` per-row noise seeds drawn from `seed`.
 #[cfg(test)]
-pub(crate) fn assert_draws_match_rows(model: &dyn Reconstructor, x_inv: &Matrix) {
+pub(crate) fn row_seeds(n: usize, seed: u64) -> Vec<u64> {
+    let mut rng = SeededRng::new(seed);
+    (0..n).map(|_| rng.next_seed()).collect()
+}
+
+/// Test helper: one exact draw of every row of `x_inv`, with per-row
+/// seeds drawn from `seed`.
+#[cfg(test)]
+pub(crate) fn reconstruct_seeded(model: &dyn Reconstructor, x_inv: &Matrix, seed: u64) -> Matrix {
+    model.reconstruct(
+        x_inv,
+        &row_seeds(x_inv.rows(), seed),
+        InferPrecision::F64Exact,
+    )
+}
+
+/// Test helper: the [`Reconstructor::reconstruct`] contract on a fitted
+/// model, at both precisions. A stack of draws equals one call per draw;
+/// a batch equals its rows reconstructed one at a time; a 0-row batch
+/// gives `0 × d_var`; and a seed list that is not a whole number of draws
+/// panics.
+#[cfg(test)]
+pub(crate) fn assert_reconstruct_contract(model: &dyn Reconstructor, x_inv: &Matrix) {
     let n = x_inv.rows();
-    for draws in [1u64, 3] {
-        let seeds: Vec<u64> = (0..draws * n as u64).map(|i| 0x5EED ^ (i * 31)).collect();
-        for precision in [InferPrecision::F64Exact, InferPrecision::F32Fast] {
-            let stacked = model.reconstruct_draws_with(x_inv, &seeds, precision);
+    for precision in [InferPrecision::F64Exact, InferPrecision::F32Fast] {
+        for draws in [1, 3] {
+            let seeds = row_seeds(draws * n, 0x5EED ^ draws as u64);
+            let stacked = model.reconstruct(x_inv, &seeds, precision);
             assert_eq!(stacked.rows(), seeds.len());
             for (d, draw_seeds) in seeds.chunks(n).enumerate() {
-                let one = model.reconstruct_rows_with(x_inv, draw_seeds, precision);
+                let one = model.reconstruct(x_inv, draw_seeds, precision);
                 for r in 0..n {
                     assert_eq!(stacked.row(d * n + r), one.row(r), "draw {d} row {r}");
+                    let row =
+                        model.reconstruct(&x_inv.select_rows(&[r]), &draw_seeds[r..=r], precision);
+                    assert_eq!(row.row(0), one.row(r), "draw {d} row {r} alone");
                 }
             }
         }
+        let d_var = model.reconstruct(x_inv, &row_seeds(n, 1), precision).cols();
+        let empty = model.reconstruct(&x_inv.select_rows(&[]), &[], precision);
+        assert_eq!(empty.shape(), (0, d_var));
+        let ragged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            model.reconstruct(&x_inv.select_rows(&[0, 0]), &row_seeds(3, 2), precision)
+        }));
+        assert!(ragged.is_err(), "a ragged seed list must panic");
     }
 }
 

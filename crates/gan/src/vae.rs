@@ -235,17 +235,10 @@ impl Reconstructor for Vae {
         Ok(())
     }
 
-    fn reconstruct(&self, x_inv: &Matrix, seed: u64) -> Matrix {
+    fn reconstruct(&self, x_inv: &Matrix, seeds: &[u64], precision: InferPrecision) -> Matrix {
         let decoder = self.fitted_decoder(x_inv);
-        let mut rng = SeededRng::new(seed);
-        let z = rng.normal_matrix(x_inv.rows(), self.config.latent_dim, 0.0, 1.0);
-        forward_conditioned(
-            self.plan.as_ref(),
-            decoder,
-            x_inv,
-            &z,
-            InferPrecision::F64Exact,
-        )
+        let z = seeded_noise(seeds, self.config.latent_dim);
+        forward_conditioned(self.plan.as_ref(), decoder, x_inv, &z, precision)
     }
 
     fn name(&self) -> &'static str {
@@ -254,35 +247,6 @@ impl Reconstructor for Vae {
 
     fn train_outcome(&self) -> Option<TrainOutcome> {
         self.outcome
-    }
-
-    fn reconstruct_rows(&self, x_inv: &Matrix, row_seeds: &[u64]) -> Matrix {
-        self.reconstruct_rows_with(x_inv, row_seeds, InferPrecision::F64Exact)
-    }
-
-    fn reconstruct_rows_with(
-        &self,
-        x_inv: &Matrix,
-        row_seeds: &[u64],
-        precision: InferPrecision,
-    ) -> Matrix {
-        assert_eq!(
-            x_inv.rows(),
-            row_seeds.len(),
-            "reconstruct_rows: one seed per row"
-        );
-        self.reconstruct_draws_with(x_inv, row_seeds, precision)
-    }
-
-    fn reconstruct_draws_with(
-        &self,
-        x_inv: &Matrix,
-        draw_seeds: &[u64],
-        precision: InferPrecision,
-    ) -> Matrix {
-        let decoder = self.fitted_decoder(x_inv);
-        let z = seeded_noise(draw_seeds, self.config.latent_dim);
-        forward_conditioned(self.plan.as_ref(), decoder, x_inv, &z, precision)
     }
 
     fn snapshot(&self) -> Result<ReconSnapshot> {
@@ -334,7 +298,7 @@ mod tests {
         let (x_inv, x_var, y) = toy(256, 1);
         let mut vae = Vae::new(quick(), 2);
         vae.fit(&x_inv, &x_var, &y).unwrap();
-        let recon = vae.reconstruct(&x_inv, 3);
+        let recon = crate::reconstruct_seeded(&vae, &x_inv, 3);
         let r = pearson(&recon.col(0), &x_var.col(0));
         assert!(
             r > 0.6,
@@ -353,7 +317,10 @@ mod tests {
             5,
         );
         vae.fit(&x_inv, &x_var, &y).unwrap();
-        assert_eq!(vae.reconstruct(&x_inv, 6), vae.reconstruct(&x_inv, 6));
+        assert_eq!(
+            crate::reconstruct_seeded(&vae, &x_inv, 6),
+            crate::reconstruct_seeded(&vae, &x_inv, 6)
+        );
     }
 
     #[test]
@@ -367,7 +334,7 @@ mod tests {
             8,
         );
         vae.fit(&x_inv, &x_var, &y).unwrap();
-        let recon = vae.reconstruct(&x_inv.map(|v| v + 100.0), 9);
+        let recon = crate::reconstruct_seeded(&vae, &x_inv.map(|v| v + 100.0), 9);
         assert!(recon.max_abs() <= 1.0 + 1e-9);
     }
 
@@ -390,8 +357,8 @@ mod tests {
         let snap = vae.snapshot().unwrap();
         let restored = crate::restore_reconstructor(&snap).unwrap();
         assert_eq!(
-            restored.reconstruct(&x_inv, 12),
-            vae.reconstruct(&x_inv, 12)
+            crate::reconstruct_seeded(restored.as_ref(), &x_inv, 12),
+            crate::reconstruct_seeded(&vae, &x_inv, 12)
         );
         assert_eq!(restored.snapshot().unwrap(), snap);
     }
@@ -450,13 +417,13 @@ mod tests {
         );
         unguarded.fit(&x_inv, &x_var, &y).unwrap();
         assert_eq!(
-            guarded.reconstruct(&x_inv, 26),
-            unguarded.reconstruct(&x_inv, 26)
+            crate::reconstruct_seeded(&guarded, &x_inv, 26),
+            crate::reconstruct_seeded(&unguarded, &x_inv, 26)
         );
     }
 
     #[test]
-    fn reconstruct_rows_matches_per_row_loop() {
+    fn reconstruct_contract_holds() {
         let (x_inv, x_var, y) = toy(32, 13);
         let mut vae = Vae::new(
             VaeConfig {
@@ -466,12 +433,6 @@ mod tests {
             14,
         );
         vae.fit(&x_inv, &x_var, &y).unwrap();
-        let seeds: Vec<u64> = (0..32u64).map(|i| 1000 + i * 7).collect();
-        let batched = vae.reconstruct_rows(&x_inv, &seeds);
-        for (r, &seed) in seeds.iter().enumerate() {
-            let single = vae.reconstruct(&x_inv.select_rows(&[r]), seed);
-            assert_eq!(batched.row(r), single.row(0), "row {r}");
-        }
-        crate::assert_draws_match_rows(&vae, &x_inv);
+        crate::assert_reconstruct_contract(&vae, &x_inv);
     }
 }

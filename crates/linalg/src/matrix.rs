@@ -233,11 +233,7 @@ impl Matrix {
     /// workspace's legacy `matmul`).
     ///
     /// This is the bit-exactness reference the blocked kernels are pinned
-    /// against (see `tests/kernel_props.rs`). It is already partially
-    /// optimized — the inner `j` loop is contiguous and auto-vectorizes —
-    /// so the `reconstruction_kernels` bench reports it as a separate
-    /// `legacy ikj` column next to the truly naive
-    /// [`Matrix::matmul_textbook`] baseline. Prefer [`Matrix::matmul`]
+    /// against (see `tests/kernel_props.rs`). Prefer [`Matrix::matmul`]
     /// everywhere else.
     ///
     /// # Panics

@@ -14,7 +14,7 @@
 //! # Precision contract
 //!
 //! * [`InferPrecision::F64Exact`] (the default) is **bit-identical** to the
-//!   legacy layer-by-layer path and to [`InferPlan::infer_reference`]: the
+//!   legacy layer-by-layer path and to [`InferPlan::infer_textbook`]: the
 //!   kernels preserve the naive reference's accumulation order, zero-skip,
 //!   and two-rounding multiply/add (see [`fsda_linalg::kernel`]).
 //! * [`InferPrecision::F32Fast`] converts weights once at compile time and
@@ -356,29 +356,13 @@ impl InferPlan {
         }
     }
 
-    /// The pristine legacy forward pass: per-stage weight materialization,
-    /// [`Matrix::matmul_naive`] (the workspace's pre-kernel `ikj` loop),
-    /// and separate bias / activation / norm passes — exactly the legacy
-    /// layer chain's cost profile. This is the test reference; it is
-    /// bit-identical to `infer(x, F64Exact)`.
-    pub fn infer_reference(&self, input: &Matrix) -> Matrix {
-        self.unfused_forward(input, Matrix::matmul_naive)
-    }
-
-    /// The textbook naive forward pass: identical to
-    /// [`InferPlan::infer_reference`] except the matrix product is the
-    /// `ijk` dot-product triple loop ([`Matrix::matmul_textbook`]). Still
-    /// bit-identical to `infer(x, F64Exact)`; this is the "naive-f64"
-    /// baseline the `reconstruction_kernels` bench section measures the
-    /// blocked kernels against.
+    /// The textbook naive forward pass: per-stage weight materialization,
+    /// the `ijk` dot-product triple loop ([`Matrix::matmul_textbook`]), and
+    /// separate bias / activation / norm passes. Bit-identical to
+    /// `infer(x, F64Exact)`; this is the plan tests' oracle and the
+    /// "naive-f64" baseline the `reconstruction_kernels` bench section
+    /// measures the blocked kernels against.
     pub fn infer_textbook(&self, input: &Matrix) -> Matrix {
-        self.unfused_forward(input, Matrix::matmul_textbook)
-    }
-
-    /// Shared unfused executor behind the two reference paths: `matmul`
-    /// picks the triple-loop flavor; everything else (per-call weight
-    /// materialization, separate bias/activation/norm passes) is common.
-    fn unfused_forward(&self, input: &Matrix, matmul: fn(&Matrix, &Matrix) -> Matrix) -> Matrix {
         let mut cur = input.clone();
         for stage in &self.stages64 {
             match stage {
@@ -393,7 +377,7 @@ impl InferPlan {
                     // Re-materializing the weights per call mirrors the
                     // legacy path's per-call `weight.transpose()`.
                     let w = Matrix::from_vec(*in_dim, *out_dim, wt.clone());
-                    let mut out = matmul(&cur, &w);
+                    let mut out = cur.matmul_textbook(&w);
                     for r in 0..out.rows() {
                         for (o, &b) in out.row_mut(r).iter_mut().zip(bias) {
                             *o += b;
@@ -623,12 +607,12 @@ mod tests {
     }
 
     #[test]
-    fn plan_reference_bit_identical_to_kernel_path() {
+    fn plan_textbook_bit_identical_to_kernel_path() {
         let net = rich_net(12);
         let plan = InferPlan::compile(&net).expect("all layers lower");
         let x = Matrix::from_fn(7, 6, |i, j| (i as f64 - 2.0 * j as f64) * 0.31);
         assert_bits_eq(
-            &plan.infer_reference(&x),
+            &plan.infer_textbook(&x),
             &plan.infer(&x, InferPrecision::F64Exact),
         );
     }

@@ -7,7 +7,7 @@
 use fsda::causal::ci::FisherZ;
 use fsda::core::adapter::{AdapterConfig, FsAdapter, FsGanAdapter};
 use fsda::core::fs::{FeatureSeparation, FsConfig};
-use fsda::core::{FitError, GuardConfig, InputPolicy};
+use fsda::core::{FitError, GuardConfig, InferPrecision, InputPolicy};
 use fsda::data::csv::{read_csv, write_csv};
 use fsda::data::dataset::Dataset;
 use fsda::data::faultinject::{CsvFault, Fault};
@@ -33,7 +33,7 @@ fn policies() -> [GuardConfig; 3] {
 /// (no fault in the canonical suite changes it).
 fn assert_serving_contract(adapter: &FsGanAdapter, fs: &FsAdapter, batch: &Matrix, label: &str) {
     for guard in policies() {
-        match adapter.try_reconstruct_batch(batch, None, &guard) {
+        match adapter.try_reconstruct_batch_with(batch, None, &guard, InferPrecision::F64Exact) {
             Ok(recon) => {
                 assert!(
                     recon.is_finite(),

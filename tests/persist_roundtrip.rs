@@ -2,15 +2,17 @@
 //! format, on both synthetic scenarios. The reloaded pipeline must be
 //! bit-identical to the one that was trained: same artifact bytes, same
 //! predictions, same F1, and a batched reconstruction that matches the
-//! per-sample reference loop at every thread count.
+//! original's at every thread count, down to one row per chunk.
 
 use fsda::core::adapter::{AdapterConfig, Budget, FsAdapter, FsGanAdapter};
 use fsda::data::fewshot::{few_shot_indices, few_shot_subset};
 use fsda::data::synth5gc::Synth5gc;
 use fsda::data::synth5gipc::{Synth5gipc, NUM_GROUPS};
-use fsda::linalg::SeededRng;
+use fsda::linalg::{Matrix, SeededRng};
 use fsda::models::metrics::macro_f1;
-use fsda::models::ClassifierKind;
+use fsda::models::{ClassifierKind, InferPrecision};
+
+const EXACT: InferPrecision = InferPrecision::F64Exact;
 
 /// A collision-free scratch path under the OS temp dir.
 fn tmp_path(name: &str) -> std::path::PathBuf {
@@ -25,6 +27,16 @@ impl Drop for TmpFile {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.0);
     }
+}
+
+/// The first 8 rows of `x`, reconstructed with one row per chunk (the
+/// shape of a per-sample loop), equal those rows of `whole`.
+fn assert_one_row_chunks_match(adapter: &FsGanAdapter, x: &Matrix, whole: &Matrix) {
+    let head: Vec<usize> = (0..8).collect();
+    assert_eq!(
+        adapter.reconstruct_batch_with(&x.select_rows(&head), Some(8), EXACT),
+        whole.select_rows(&head)
+    );
 }
 
 #[test]
@@ -57,13 +69,14 @@ fn five_gc_pipeline_survives_disk_round_trip() {
     );
 
     // The serving path: batched reconstruction of the loaded adapter is
-    // bit-identical to the original's per-sample reference loop at every
-    // thread count.
-    let scalar = adapter.reconstruct_scalar(x);
+    // bit-identical to the original's at every thread count, down to one
+    // row per chunk.
+    let whole = adapter.reconstruct_batch_with(x, Some(1), EXACT);
+    assert_one_row_chunks_match(&loaded, x, &whole);
     for threads in [1, 2, 4] {
         assert_eq!(
-            loaded.reconstruct_batch(x, Some(threads)),
-            scalar,
+            loaded.reconstruct_batch_with(x, Some(threads), EXACT),
+            whole,
             "threads = {threads}"
         );
         assert_eq!(
@@ -104,11 +117,12 @@ fn five_gipc_pipeline_survives_disk_round_trip() {
         "F1 must match bit-for-bit"
     );
 
-    let scalar = adapter.reconstruct_scalar(x);
+    let whole = adapter.reconstruct_batch_with(x, Some(1), EXACT);
+    assert_one_row_chunks_match(&loaded, x, &whole);
     for threads in [1, 2, 4] {
         assert_eq!(
-            loaded.reconstruct_batch(x, Some(threads)),
-            scalar,
+            loaded.reconstruct_batch_with(x, Some(threads), EXACT),
+            whole,
             "threads = {threads}"
         );
     }
